@@ -8,6 +8,7 @@ probability at a port is simply its photon number.  A per-element ledger
 tracks number in, number out and what was absorbed.
 """
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -170,7 +171,12 @@ def validate(netlist: Netlist) -> list:
 
 
 def _topological_order(netlist: Netlist):
-    """Kahn's algorithm over elements; None if the wiring has a cycle."""
+    """Kahn's algorithm over elements; None if the wiring has a cycle.
+
+    The ready set is a heap keyed by element id: the smallest ready id
+    always goes next, which fixes the ledger row order, and the sort takes
+    O(E log E) for E elements.
+    """
     producer = {netlist.source_port: None}
     for el in netlist.elements:
         for port in el.outputs:
@@ -180,18 +186,22 @@ def _topological_order(netlist: Netlist):
         deps[el.id] = {
             producer[p] for p in el.inputs if producer.get(p) is not None
         }
+    users = {}
+    pending = {}
+    for eid, d in deps.items():
+        pending[eid] = len(d)
+        for dep in d:
+            users.setdefault(dep, []).append(eid)
+    ready = [eid for eid, n in pending.items() if n == 0]
+    heapq.heapify(ready)
     order = []
-    ready = sorted(eid for eid, d in deps.items() if not d)
-    remaining = {eid: set(d) for eid, d in deps.items()}
     while ready:
-        eid = ready.pop(0)
+        eid = heapq.heappop(ready)
         order.append(eid)
-        for other, d in remaining.items():
-            if eid in d:
-                d.discard(eid)
-                if not d and other not in order and other not in ready:
-                    ready.append(other)
-        ready.sort()
+        for other in users.get(eid, ()):
+            pending[other] -= 1
+            if pending[other] == 0:
+                heapq.heappush(ready, other)
     if len(order) != len(netlist.elements):
         return None
     return order
@@ -221,35 +231,38 @@ def run_circuit(
     grid = netlist.source_state.grid
     zeros = np.zeros(grid.n, dtype=complex)
 
-    # live map: port -> (amplitude array, accumulated delay)
-    live = {netlist.source_port: (netlist.source_state.c.copy(), 0.0)}
-    rows = []
-    absorbing_rows = []
-
     def number_of(arr) -> float:
         return float(np.sum(np.abs(arr) ** 2) * grid.dk / (2.0 * np.pi))
 
+    # live map: port -> (amplitude array, accumulated delay, photon number);
+    # each port's number is computed once, when the port is produced
+    src = netlist.source_state.c.copy()
+    live = {netlist.source_port: (src, 0.0, number_of(src))}
+    empty = (zeros, 0.0, 0.0)
+    rows = []
+    absorbing_rows = []
+
     for eid in order:
         el = by_id[eid]
-        ins = [live.pop(p, (zeros, 0.0)) for p in el.inputs]
-        n_in = sum(number_of(arr) for arr, _ in ins)
+        ins = [live.pop(p, empty) for p in el.inputs]
+        n_in = sum(n for _, _, n in ins)
         spec = el.spec
 
         if isinstance(spec, PhaseShifter):
-            arr, delay = ins[0]
+            arr, delay, _ = ins[0]
             outs = [(arr * np.exp(1j * spec.phi), delay)]
         elif isinstance(spec, Mirror):
-            arr, delay = ins[0]
+            arr, delay, _ = ins[0]
             outs = [(arr * spec.r, delay)]
         elif isinstance(spec, MediumSegment):
-            arr, delay = ins[0]
+            arr, delay, _ = ins[0]
             omega = units.c * grid.k
             n = np.asarray(spec.medium.index(omega))
             transfer = np.exp((1j * n.real - n.imag) * omega * spec.length / units.c)
             group_delay = _group_delay(arr, n.real, spec.length, units)
             outs = [(arr * transfer, delay + group_delay)]
         elif isinstance(spec, DielectricInterface):
-            arr, delay = ins[0]
+            arr, delay, _ = ins[0]
             n1 = complex(spec.n_in)
             n2 = complex(spec.n_out)
             r_amp, t_amp = optics.fresnel_interface(n1, n2, paper_convention)
@@ -257,27 +270,26 @@ def run_circuit(
             t_flux = t_amp * np.sqrt(n2.real / n1.real)
             outs = [(arr * t_flux, delay), (arr * r_amp, delay)]
         elif isinstance(spec, BeamSplitter):
-            (a0, d0), (a1, d1) = ins
+            (a0, d0, w0), (a1, d1, w1) = ins
             s = spec.scattering
-            out0 = s[0, 0] * a0 + s[0, 1] * a1
-            out1 = s[1, 0] * a0 + s[1, 1] * a1
-            outs = [(out0, _merge_delay(out0, (a0, d0), (a1, d1), number_of)),
-                    (out1, _merge_delay(out1, (a0, d0), (a1, d1), number_of))]
+            delay = _merge_delay(d0, w0, d1, w1)
+            outs = [(s[0, 0] * a0 + s[0, 1] * a1, delay),
+                    (s[1, 0] * a0 + s[1, 1] * a1, delay)]
         else:  # pragma: no cover
             raise NetlistError(f"unsupported element kind {type(spec).__name__}")
 
-        n_out = sum(number_of(arr) for arr, _ in outs)
+        numbers = [number_of(arr) for arr, _ in outs]
+        n_out = sum(numbers)
         rows.append(LedgerRow(eid, n_in, n_out, n_in - n_out))
         if isinstance(spec, MediumSegment):
             absorbing_rows.append(n_in - n_out)
-        for port, out in zip(el.outputs, outs):
-            live[port] = out
+        for port, (arr, delay), n in zip(el.outputs, outs, numbers):
+            live[port] = (arr, delay, n)
 
     ports = {}
     detected = 0.0
     for port in netlist.detectors:
-        arr, delay = live.pop(port, (zeros, 0.0))
-        n = number_of(arr)
+        arr, delay, n = live.pop(port, empty)
         detected += n
         if n > 0.0:
             spectral = SpectralAmplitude(
@@ -306,10 +318,8 @@ def _group_delay(arr, n_real, length, units) -> float:
     return n_eff * length / units.c
 
 
-def _merge_delay(out, in0, in1, number_of) -> float:
-    a0, d0 = in0
-    a1, d1 = in1
-    w0, w1 = number_of(a0), number_of(a1)
+def _merge_delay(d0, w0, d1, w1) -> float:
+    """Photon-number-weighted mean of two input delays."""
     if w0 + w1 == 0.0:
         return 0.0
     return (w0 * d0 + w1 * d1) / (w0 + w1)

@@ -177,6 +177,9 @@ def cmd_localized(config: RunConfig, args) -> int:
 
 
 def cmd_circuit(config: RunConfig, args) -> int:
+    if args.samples < 0:
+        print("--samples must be non-negative", file=sys.stderr)
+        return EXIT_INPUT
     netlist = circ.load_netlist(args.netlist, default_grid=config.grid)
     violations = circ.validate(netlist)
     if violations:

@@ -14,7 +14,6 @@ pure time-differencing check.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DimensionError, DomainError, StepSizeError
 from .spectral import (
@@ -216,6 +215,9 @@ def localized_density_3d(r: float, dt: float, k_max: float, c: float = 1.0) -> c
         raise DomainError("r must be positive")
     if k_max <= 0:
         raise DomainError("k_max must be positive")
+    # imported here: loading scipy.integrate costs about half a second, and
+    # this quadrature oracle is the package's only use of it
+    from scipy import integrate
 
     def integrand(k):
         kr = k * r

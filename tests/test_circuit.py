@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from photonflux import (
     apply_mode_phase,
     validate,
 )
-from photonflux.circuit import state_from_spec
+from photonflux.circuit import _topological_order, state_from_spec
 from photonflux.errors import NetlistError, PortError
 from photonflux.optics import DielectricInterface
 from photonflux.units import NATURAL
@@ -104,6 +105,112 @@ def test_run_rejects_unnormalized_source():
     nl = Netlist(elements=(), source_port="a", source_state=weak, detectors=("a",))
     with pytest.raises(NetlistError):
         run_circuit(nl)
+
+
+# ---- ordering -------------------------------------------------------------------
+
+def reference_topological_order(netlist):
+    """Quadratic Kahn sort over a sorted ready list: the ordering reference."""
+    producer = {netlist.source_port: None}
+    for el in netlist.elements:
+        for port in el.outputs:
+            producer.setdefault(port, el.id)
+    deps = {}
+    for el in netlist.elements:
+        deps[el.id] = {
+            producer[p] for p in el.inputs if producer.get(p) is not None
+        }
+    order = []
+    ready = sorted(eid for eid, d in deps.items() if not d)
+    remaining = {eid: set(d) for eid, d in deps.items()}
+    while ready:
+        eid = ready.pop(0)
+        order.append(eid)
+        for other, d in remaining.items():
+            if eid in d:
+                d.discard(eid)
+                if not d and other not in order and other not in ready:
+                    ready.append(other)
+        ready.sort()
+    if len(order) != len(netlist.elements):
+        return None
+    return order
+
+
+def clements_mesh(modes=32):
+    """Rectangular Clements mesh; every output ends in a lossy line and an interface."""
+    cur = [f"in{i}" for i in range(modes)]
+    elements = []
+    for layer in range(modes):
+        for i in range(layer % 2, modes - 1, 2):
+            shifted = f"p{layer}_{i}"
+            outs = (f"m{layer}_{i}", f"m{layer}_{i + 1}")
+            elements.append(Element(f"ps{layer}_{i}", PhaseShifter(0.1 * i), (cur[i],), (shifted,)))
+            elements.append(
+                Element(f"bs{layer}_{i}", BeamSplitter(t=0.6, r=0.8), (shifted, cur[i + 1]), outs)
+            )
+            cur[i], cur[i + 1] = outs
+    detectors = []
+    for j in range(modes):
+        line = MediumSegment(Medium.constant(1.25 + 0.002j), 0.4)
+        elements.append(Element(f"med{j}", line, (cur[j],), (f"w{j}",)))
+        elements.append(
+            Element(f"if{j}", DielectricInterface(1.0, 1.5), (f"w{j}",), (f"t{j}", f"r{j}"))
+        )
+        detectors += [f"t{j}", f"r{j}"]
+    return Netlist(
+        elements=tuple(elements),
+        source_port="in0",
+        source_state=source(),
+        detectors=tuple(detectors),
+        vacuum_ports=tuple(f"in{i}" for i in range(1, modes)),
+    )
+
+
+def shuffled(netlist, seed):
+    perm = np.random.default_rng(seed).permutation(len(netlist.elements))
+    return replace(netlist, elements=tuple(netlist.elements[i] for i in perm))
+
+
+def test_topological_order_matches_reference():
+    mesh = clements_mesh()
+    assert len(mesh.elements) == 1056
+    assert validate(mesh) == []
+    readme_mz = netlist_from_json(mz_json())
+    for nl in (mesh, shuffled(mesh, 5), readme_mz):
+        order = _topological_order(nl)
+        assert order is not None
+        assert order == reference_topological_order(nl)
+    # ties resolve by id ("bs10_0" < "bs1_1"), not by declaration order
+    assert _topological_order(mesh) != [el.id for el in mesh.elements]
+
+
+def test_topological_order_rejects_cycles():
+    two_cycle = (
+        Element("p1", PhaseShifter(0.1), inputs=("a",), outputs=("b",)),
+        Element("p2", PhaseShifter(0.2), inputs=("b",), outputs=("a",)),
+    )
+    self_loop = (Element("p", PhaseShifter(0.1), inputs=("a",), outputs=("a",)),)
+    for elements in (two_cycle, self_loop):
+        nl = Netlist(elements=elements, source_port="src", source_state=source(), detectors=())
+        assert _topological_order(nl) is None
+        assert reference_topological_order(nl) is None
+
+
+def test_shuffled_long_chain_runs_in_chain_order():
+    ports = ["src"] + [f"c{i}" for i in range(4000)]
+    chain = tuple(
+        Element(f"ps{i}", PhaseShifter(1e-3 * i), (ports[i],), (ports[i + 1],))
+        for i in range(4000)
+    )
+    nl = shuffled(
+        Netlist(elements=chain, source_port="src", source_state=source(), detectors=(ports[-1],)),
+        11,
+    )
+    assert validate(nl) == []
+    pulse, ledger = run_circuit(nl)
+    assert [row.element_id for row in ledger.rows] == [el.id for el in chain]
+    assert pulse.probability(ports[-1]) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---- single elements -----------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photonflux
 from photonflux.cli import main
 
 GAUSSIAN_SPEC = {"kind": "gaussian", "k0": 600.0, "sigma": 20.0, "helicity": 1}
@@ -140,6 +145,14 @@ def test_circuit_invalid_netlist_exits_2(tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+def test_circuit_negative_samples_exits_2(tmp_path, capsys):
+    netlist = write_json(tmp_path / "mz.json", mz_netlist(0.3))
+    code, out = run(tmp_path, "circuit", "--netlist", netlist, "--samples", "-5")
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (out / "circuit_result.json").exists()
+
+
 def test_circuit_paper_convention_reports_defect(tmp_path):
     obj = {
         "grid": {"N": 256, "dk": 1.0, "area": 1.0},
@@ -261,3 +274,15 @@ def test_si_units_mode_density(tmp_path):
     assert abs(summary["density_integral"] - 1.0) <= 1e-8
     assert summary["continuity_residual"] <= 1e-6
     assert summary["units"] == "si"
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # scipy.integrate serves only the 3D quadrature oracle, so the CLI's
+    # start-up must not pay for importing it
+    probe = "import sys, photonflux.cli; print('scipy.integrate' in sys.modules)"
+    src = Path(photonflux.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
