@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetlistError, PortError
-from . import optics
 from .optics import (
     BeamSplitter,
     DielectricInterface,
@@ -25,18 +24,10 @@ from .optics import (
     Mirror,
     PhaseShifter,
 )
-from .spectral import KGrid1D, SpectralAmplitude, make_gaussian_state, photon_number
+from .spectral import KGrid1D, SpectralAmplitude, json_field, make_gaussian_state, photon_number
 from .units import NATURAL, UnitsConfig
 
 CONSERVATION_TOL = 1e-9
-
-_ARITY = {
-    PhaseShifter: (1, 1),
-    BeamSplitter: (2, 2),
-    MediumSegment: (1, 1),
-    DielectricInterface: (1, 2),
-    Mirror: (1, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,7 @@ def validate(netlist: Netlist) -> list:
     consumed = set()
 
     for el in netlist.elements:
-        arity = _ARITY.get(type(el.spec))
+        arity = getattr(el.spec, "arity", None)
         if arity is None:
             violations.append(f"element {el.id}: unsupported kind {type(el.spec).__name__}")
             continue
@@ -212,8 +203,8 @@ def run_circuit(
 ) -> tuple:
     """Propagate the source pulse to every detector port.
 
-    Elements are applied in topological order; beam splitters combine their
-    two input spectra linearly, media and interfaces act bin by bin.  The
+    Elements are applied in topological order, each by contracting its
+    ``transfer`` with its input spectra (per bin where it is dispersive).  The
     returned ledger satisfies number_in = number_out + absorbed per element
     (exactly, by construction of the rows).  With ``paper_convention``
     interfaces use the non-conserving literal Fresnel pair, so end-to-end
@@ -229,6 +220,7 @@ def run_circuit(
     order = _topological_order(netlist)
     by_id = {el.id: el for el in netlist.elements}
     grid = netlist.source_state.grid
+    omega = units.c * grid.k
     zeros = np.zeros(grid.n, dtype=complex)
 
     def number_of(arr) -> float:
@@ -247,50 +239,21 @@ def run_circuit(
         ins = [live.pop(p, empty) for p in el.inputs]
         n_in = sum(n for _, _, n in ins)
         spec = el.spec
-
-        if isinstance(spec, PhaseShifter):
-            arr, delay, _ = ins[0]
-            outs = [(arr * np.exp(1j * spec.phi), delay)]
-        elif isinstance(spec, Mirror):
-            arr, delay, _ = ins[0]
-            outs = [(arr * spec.r, delay)]
-        elif isinstance(spec, MediumSegment):
-            arr, delay, _ = ins[0]
-            omega = units.c * grid.k
-            n = np.asarray(spec.medium.index(omega))
-            transfer = np.exp((1j * n.real - n.imag) * omega * spec.length / units.c)
-            group_delay = _group_delay(arr, n.real, spec.length, units)
-            outs = [(arr * transfer, delay + group_delay)]
-        elif isinstance(spec, DielectricInterface):
-            arr, delay, _ = ins[0]
-            n1 = complex(spec.n_in)
-            n2 = complex(spec.n_out)
-            r_amp, t_amp = optics.fresnel_interface(n1, n2, paper_convention)
-            # flux-normalized transmission so |amplitude|^2 is a probability
-            t_flux = t_amp * np.sqrt(n2.real / n1.real)
-            outs = [(arr * t_flux, delay), (arr * r_amp, delay)]
-        elif isinstance(spec, BeamSplitter):
-            (a0, d0, w0), (a1, d1, w1) = ins
-            s = spec.scattering
-            delay = _merge_delay(d0, w0, d1, w1)
-            outs = [(s[0, 0] * a0 + s[0, 1] * a1, delay),
-                    (s[1, 0] * a0 + s[1, 1] * a1, delay)]
-        else:  # pragma: no cover
-            raise NetlistError(f"unsupported element kind {type(spec).__name__}")
-
-        numbers = [number_of(arr) for arr, _ in outs]
+        arrays = [arr for arr, _, _ in ins]
+        outs = [_contract(row, arrays) for row in spec.transfer(omega, units, paper_convention)]
+        delay = _merge_delay(ins)
+        numbers = [number_of(arr) for arr in outs]
         n_out = sum(numbers)
         rows.append(LedgerRow(eid, n_in, n_out, n_in - n_out))
         if isinstance(spec, MediumSegment):
+            delay += spec.group_delay(arrays[0], omega, units)
             absorbing_rows.append(n_in - n_out)
-        for port, (arr, delay), n in zip(el.outputs, outs, numbers):
+        for port, arr, n in zip(el.outputs, outs, numbers):
             live[port] = (arr, delay, n)
 
     ports = {}
-    detected = 0.0
     for port in netlist.detectors:
         arr, delay, n = live.pop(port, empty)
-        detected += n
         if n > 0.0:
             spectral = SpectralAmplitude(
                 grid=grid, helicity=netlist.source_state.helicity, c=arr / np.sqrt(n)
@@ -308,18 +271,23 @@ def run_circuit(
     return pulse, Ledger(rows=tuple(rows))
 
 
-def _group_delay(arr, n_real, length, units) -> float:
-    """Centroid-weighted n' L / c; exact for dispersionless media."""
-    weight = np.abs(arr) ** 2
-    total = weight.sum()
-    if total == 0.0:
-        return 0.0
-    n_eff = float(np.sum(weight * n_real) / total)
-    return n_eff * length / units.c
+def _contract(row, arrays):
+    """sum_j row[j] * arrays[j] with a fixed operand order.
+
+    numpy's complex multiply is not bitwise commutative: swapping the operands
+    changes the bytes of the artifacts.
+    """
+    if len(arrays) == 1:
+        return arrays[0] * row[0]
+    (f0, f1), (a0, a1) = row, arrays
+    return f0 * a0 + f1 * a1
 
 
-def _merge_delay(d0, w0, d1, w1) -> float:
-    """Photon-number-weighted mean of two input delays."""
+def _merge_delay(ins) -> float:
+    """Photon-number-weighted mean of the input delays; one input passes through."""
+    if len(ins) == 1:
+        return ins[0][1]
+    (_, d0, w0), (_, d1, w1) = ins
     if w0 + w1 == 0.0:
         return 0.0
     return (w0 * d0 + w1 * d1) / (w0 + w1)
@@ -391,18 +359,21 @@ def mach_zehnder_netlist(source_state: SpectralAmplitude, phi: float) -> Netlist
 
 
 def _spec_from_json(kind: str, params: dict) -> ElementSpec:
+    where = f"{kind} params"
+
+    def get(key, convert=_cplx, *default):
+        return json_field(params, key, convert, where, *default)
+
     if kind == "phase_shifter":
-        return PhaseShifter(phi=float(params["phi"]))
+        return PhaseShifter(phi=get("phi", float))
     if kind == "beam_splitter":
-        return BeamSplitter(t=_cplx(params["t"]), r=_cplx(params["r"]))
+        return BeamSplitter(t=get("t"), r=get("r"))
     if kind == "medium_segment":
-        return MediumSegment(
-            medium=Medium.constant(_cplx(params["chi"])), length=float(params["length"])
-        )
+        return MediumSegment(medium=Medium.constant(get("chi")), length=get("length", float))
     if kind == "interface":
-        return DielectricInterface(n_in=_cplx(params["n_in"]), n_out=_cplx(params["n_out"]))
+        return DielectricInterface(n_in=get("n_in"), n_out=get("n_out"))
     if kind == "mirror":
-        return Mirror(r=_cplx(params.get("r", 1.0)))
+        return Mirror(r=get("r", _cplx, 1.0))
     raise NetlistError(f"unknown element kind {kind!r}")
 
 
@@ -412,22 +383,32 @@ def _cplx(value) -> complex:
     return complex(value)
 
 
+def _ports(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected a list of port names")
+    ports = tuple(value)
+    hash(ports)  # a TypeError for an unhashable name, which validate could not use
+    return ports
+
+
 def state_from_spec(spec: dict, grid: KGrid1D) -> SpectralAmplitude:
     """Build a source state from its JSON description."""
-    kind = spec.get("kind", "gaussian")
+    def get(key, convert=float, *default):
+        return json_field(spec, key, convert, "state", *default)
+
+    kind = get("kind", str, "gaussian")
     if kind == "gaussian":
-        x0 = spec.get("x0")
         return make_gaussian_state(
-            k0=float(spec["k0"]),
-            sigma=float(spec["sigma"]),
+            k0=get("k0"),
+            sigma=get("sigma"),
             grid=grid,
-            helicity=int(spec.get("helicity", +1)),
-            x0=float(x0) if x0 is not None else None,
+            helicity=get("helicity", int, +1),
+            x0=get("x0", float, None),
         )
     if kind == "zero":
         return SpectralAmplitude(
             grid=grid,
-            helicity=int(spec.get("helicity", +1)),
+            helicity=get("helicity", int, +1),
             c=np.zeros(grid.n, dtype=complex),
         )
     if kind == "amplitude":
@@ -443,37 +424,41 @@ def netlist_from_json(obj: dict, default_grid: KGrid1D | None = None) -> Netlist
     "vacuum": [...]?}.  Exactly one source is required (single-photon
     sector).
     """
-    if "grid" in obj:
-        g = obj["grid"]
-        grid = KGrid1D(n=int(g["N"]), dk=float(g["dk"]), area=float(g.get("area", 1.0)))
+    g = json_field(obj, "grid", dict, "netlist", None)
+    if g is not None:
+        grid = KGrid1D(
+            n=json_field(g, "N", int, "grid"),
+            dk=json_field(g, "dk", float, "grid"),
+            area=json_field(g, "area", float, "grid", 1.0),
+        )
     elif default_grid is not None:
         grid = default_grid
     else:
         raise NetlistError("netlist JSON carries no grid and no default was given")
 
-    sources = obj.get("sources", [])
+    sources = json_field(obj, "sources", list, "netlist", [])
     if len(sources) != 1:
         raise NetlistError(f"exactly one source required, got {len(sources)}")
     src = sources[0]
-    state = state_from_spec(src["state"], grid)
+    state = state_from_spec(json_field(src, "state", dict, "source"), grid)
 
     elements = []
-    for entry in obj.get("elements", []):
-        spec = _spec_from_json(entry["kind"], entry.get("params", {}))
+    for entry in json_field(obj, "elements", list, "netlist", []):
+        spec = _spec_from_json(json_field(entry, "kind", str, "element"), entry.get("params", {}))
         elements.append(
             Element(
-                id=str(entry["id"]),
+                id=json_field(entry, "id", str, "element"),
                 spec=spec,
-                inputs=tuple(entry.get("in", ())),
-                outputs=tuple(entry.get("out", ())),
+                inputs=json_field(entry, "in", _ports, "element", ()),
+                outputs=json_field(entry, "out", _ports, "element", ()),
             )
         )
     return Netlist(
         elements=tuple(elements),
-        source_port=str(src["port"]),
+        source_port=json_field(src, "port", str, "source"),
         source_state=state,
-        detectors=tuple(obj.get("detectors", ())),
-        vacuum_ports=tuple(obj.get("vacuum", ())),
+        detectors=json_field(obj, "detectors", _ports, "netlist", ()),
+        vacuum_ports=json_field(obj, "vacuum", _ports, "netlist", ()),
     )
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: density, localized, circuit, fresnel, momentum.  All output is
 CSV/JSON written under --out; runs are deterministic for a given config and
-seed.  Exit codes: 0 success, 2 input or validation error, 3 numerical
-invariant violated.
+seed.  Exit codes: 0 success, 2 input or validation error (including
+malformed JSON and numeric flags that are non-finite or do not parse), 3
+numerical invariant violated (including a non-finite result).
 """
 
 import argparse
@@ -18,7 +19,7 @@ from . import circuit as circ
 from . import density as dens
 from . import optics
 from . import spectral as spec
-from .errors import PhotonfluxError
+from .errors import InvariantError, PhotonfluxError
 from .units import UnitsConfig, units_for
 
 EXIT_OK = 0
@@ -34,26 +35,39 @@ class RunConfig:
     seed: int
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a NaN or infinity exits 2 with a message naming the flag."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> spec.KGrid1D:
     parts = text.split(",")
     if len(parts) != 3:
-        raise PhotonfluxError("--grid expects N,dk,area")
-    return spec.KGrid1D(n=int(parts[0]), dk=float(parts[1]), area=float(parts[2]))
+        raise argparse.ArgumentTypeError("expects N,dk,area")
+    n, dk, area = int(parts[0]), _finite_float(parts[1]), _finite_float(parts[2])
+    try:
+        return spec.KGrid1D(n=n, dk=dk, area=area)
+    except PhotonfluxError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_complex(text: str) -> complex:
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise PhotonfluxError(f"cannot parse complex value {text!r} (use 're' or 're,im')")
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r} (use 're' or 're,im')")
+    return complex(*(_finite_float(p) for p in parts))
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantError(f"{path.name}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_state_spec(path: str, grid: spec.KGrid1D) -> spec.SpectralAmplitude:
@@ -67,6 +81,7 @@ def cmd_density(config: RunConfig, args) -> int:
     t = args.time
     units = config.units
     field = dens.density_field(state, state, t, units)
+    spec.assert_support_clear(field.rho)
     current = dens.current_field(state, state, t, units)
     fields = spec.synthesize_fields(state, t, units)
 
@@ -227,8 +242,7 @@ def cmd_circuit(config: RunConfig, args) -> int:
 
 
 def cmd_fresnel(config: RunConfig, args) -> int:
-    n1 = _parse_complex(args.n1)
-    n2 = _parse_complex(args.n2)
+    n1, n2 = args.n1, args.n2
     budget = optics.interface_budget(n1, n2, paper_convention=args.paper_convention)
     result = {
         "n1": [n1.real, n1.imag],
@@ -252,7 +266,7 @@ def cmd_fresnel(config: RunConfig, args) -> int:
 
 def cmd_momentum(config: RunConfig, args) -> int:
     state = _load_state_spec(args.state, config.grid)
-    chi = _parse_complex(args.chi)
+    chi = args.chi
     report = optics.momentum_report(state, chi, config.units)
     result = {
         "photon_number": spec.photon_number(state),
@@ -275,21 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--units", choices=("natural", "si"), default="natural")
     parser.add_argument("--out", default="photonflux_out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--grid", default="4096,1.0,1.0", help="N,dk,area")
+    parser.add_argument("--grid", type=_parse_grid, default="4096,1.0,1.0", help="N,dk,area")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="density/current arrays and conservation summary")
     p.add_argument("--state", required=True, help="state-spec JSON file")
-    p.add_argument("--time", type=float, default=0.0)
+    p.add_argument("--time", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("localized", help="band-limited localized density closed forms")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--k-max", type=float, required=True)
-    p.add_argument("--delta-t", type=float, default=0.0)
+    p.add_argument("--k-max", type=_finite_float, required=True)
+    p.add_argument("--delta-t", type=_finite_float, default=0.0)
     p.add_argument("--points", type=int, default=4001)
-    p.add_argument("--span", type=float, default=500.0, help="u-range in units of 1/k_max (dim=1)")
+    p.add_argument("--span", type=_finite_float, default=500.0, help="u-range in units of 1/k_max (dim=1)")
     p.set_defaults(func=cmd_localized)
 
     p = sub.add_parser("circuit", help="validate and run a netlist")
@@ -299,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("fresnel", help="interface coefficients and flux budget")
-    p.add_argument("--n1", required=True)
-    p.add_argument("--n2", required=True)
+    p.add_argument("--n1", type=_parse_complex, required=True)
+    p.add_argument("--n2", type=_parse_complex, required=True)
     p.add_argument("--paper-convention", action="store_true")
     p.set_defaults(func=cmd_fresnel)
 
     p = sub.add_parser("momentum", help="Abraham/Minkowski momentum report")
     p.add_argument("--state", required=True)
-    p.add_argument("--chi", required=True)
+    p.add_argument("--chi", type=_parse_complex, required=True)
     p.set_defaults(func=cmd_momentum)
 
     return parser
@@ -318,11 +332,14 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(
             units=units_for(args.units),
-            grid=_parse_grid(args.grid),
+            grid=args.grid,
             out=Path(args.out),
             seed=args.seed,
         )
         return args.func(config, args)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (PhotonfluxError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

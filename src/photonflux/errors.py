@@ -46,4 +46,8 @@ class PortError(PhotonfluxError):
 
 
 class NetlistError(PhotonfluxError):
-    """A netlist failed validation; the message lists the violations."""
+    """A netlist or a JSON spec failed validation; the message names the violations."""
+
+
+class InvariantError(PhotonfluxError):
+    """A computed result violates a numerical invariant, e.g. is not finite."""

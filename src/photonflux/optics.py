@@ -111,13 +111,7 @@ def propagate_in_medium(
     by exp(-2 omega n'' L / c); a dispersionless n' delays the pulse envelope
     by n' L / c relative to a vacuum run of the same length.
     """
-    if length < 0:
-        raise DomainError("segment length must be non-negative")
-    omega = units.c * state.grid.k
-    n = np.asarray(medium.index(omega))
-    if np.any(n.imag < -PASSIVITY_TOL):
-        raise PassivityError("medium index has n'' < 0")
-    transfer = np.exp((1j * n.real - n.imag) * omega * length / units.c)
+    ((transfer,),) = MediumSegment(medium, length).transfer(units.c * state.grid.k, units)
     return SpectralAmplitude(grid=state.grid, helicity=state.helicity, c=state.c * transfer)
 
 
@@ -208,9 +202,18 @@ def momentum_report(state: SpectralAmplitude, chi: complex, units: UnitsConfig =
     )
 
 
+# Circuit element specs carry ``arity`` = (inputs, outputs) and a linear
+# ``transfer``: one row per output of per-input amplitude factors, each a
+# scalar or an array over the omega bins.  Only a MediumSegment absorbs.
+
+
 @dataclass(frozen=True)
 class PhaseShifter:
     phi: float
+    arity = (1, 1)
+
+    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
+        return ((np.exp(1j * self.phi),),)
 
 
 @dataclass(frozen=True)
@@ -219,6 +222,7 @@ class BeamSplitter:
 
     t: complex
     r: complex
+    arity = (2, 2)
 
     def __post_init__(self):
         defect = abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
@@ -232,15 +236,36 @@ class BeamSplitter:
             [[self.t, -np.conj(self.r)], [self.r, np.conj(self.t)]], dtype=complex
         )
 
+    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
+        return self.scattering.tolist()  # rows of Python scalars: cheaper to unpack than ndarray rows
+
 
 @dataclass(frozen=True)
 class MediumSegment:
     medium: Medium
     length: float
+    arity = (1, 1)
 
     def __post_init__(self):
         if self.length < 0:
             raise DomainError("segment length must be non-negative")
+
+    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
+        """exp(i omega n' L / c) * exp(-omega n'' L / c) per bin."""
+        n = np.asarray(self.medium.index(omega))
+        if np.any(n.imag < -PASSIVITY_TOL):
+            raise PassivityError("medium index has n'' < 0")
+        return ((np.exp((1j * n.real - n.imag) * omega * self.length / units.c),),)
+
+    def group_delay(self, amplitude, omega, units: UnitsConfig = NATURAL) -> float:
+        """n_eff L / c, n_eff the |amplitude|^2-weighted Re n; exact for dispersionless media."""
+        weight = np.abs(amplitude) ** 2
+        total = weight.sum()
+        if total == 0.0:
+            return 0.0
+        n_real = np.asarray(self.medium.index(omega)).real
+        n_eff = float(np.sum(weight * n_real) / total)
+        return n_eff * self.length / units.c
 
 
 @dataclass(frozen=True)
@@ -249,6 +274,7 @@ class DielectricInterface:
 
     n_in: complex
     n_out: complex
+    arity = (1, 2)
 
     def __post_init__(self):
         for n in (self.n_in, self.n_out):
@@ -256,14 +282,25 @@ class DielectricInterface:
             if n == 0 or not np.isfinite([n.real, n.imag]).all():
                 raise DomainError("indices must be finite and nonzero")
 
+    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
+        """Transmitted, then reflected output; t is flux-normalized so |t|^2 is a probability."""
+        n1 = complex(self.n_in)
+        n2 = complex(self.n_out)
+        r, t = fresnel_interface(n1, n2, paper_convention)
+        return ((t * np.sqrt(n2.real / n1.real),), (r,))
+
 
 @dataclass(frozen=True)
 class Mirror:
     r: complex = 1.0 + 0.0j
+    arity = (1, 1)
 
     def __post_init__(self):
         if abs(abs(self.r) - 1.0) > UNITARITY_TOL:
             raise UnitarityError("mirror reflectivity must have unit magnitude")
+
+    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
+        return ((self.r,),)
 
 
 ElementSpec = Union[PhaseShifter, BeamSplitter, MediumSegment, DielectricInterface, Mirror]

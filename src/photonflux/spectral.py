@@ -11,12 +11,13 @@ number-density bilinear in :mod:`photonflux.density` integrates exactly to
 this photon number; see ``synthesize_fields``.
 """
 
+import cmath
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, GridCoverageError
+from .errors import DimensionError, DomainError, GridCoverageError, NetlistError
 from .units import NATURAL, UnitsConfig
 
 TWO_PI = 2.0 * np.pi
@@ -106,12 +107,40 @@ class SpectralAmplitude:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralAmplitude":
-        grid = KGrid1D(n=int(obj["N"]), dk=float(obj["dk"]), area=float(obj["area"]))
-        c = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return cls(grid=grid, helicity=int(obj["helicity"]), c=c)
+        def get(key, convert):
+            return json_field(obj, key, convert, "state")
+
+        grid = KGrid1D(n=get("N", int), dk=get("dk", float), area=get("area", float))
+        c = get("re", _reals) + 1j * get("im", _reals)
+        return cls(grid=grid, helicity=get("helicity", int), c=c)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+_REQUIRED = object()
+
+
+def json_field(obj, key: str, convert, where: str, default=_REQUIRED):
+    """convert(obj[key]), or ``default`` if absent or null; NetlistError naming a bad field."""
+    if not isinstance(obj, dict):
+        raise NetlistError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    raw = obj.get(key)
+    if raw is None:
+        if default is _REQUIRED:
+            raise NetlistError(f"{where}: missing field {key!r}")
+        return default
+    try:
+        value = convert(raw)
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise ValueError("not finite")
+    except (TypeError, ValueError, IndexError, OverflowError):
+        raise NetlistError(f"{where}: field {key!r} has invalid value {raw!r:.40}") from None
+    return value
+
+
+def _reals(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)

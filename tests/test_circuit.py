@@ -33,7 +33,7 @@ from photonflux import (
 )
 from photonflux.circuit import _topological_order, state_from_spec
 from photonflux.errors import NetlistError, PortError
-from photonflux.optics import DielectricInterface
+from photonflux.optics import DielectricInterface, fresnel_interface
 from photonflux.units import NATURAL
 
 
@@ -88,6 +88,21 @@ def test_double_feed_is_flagged():
     p2 = Element("p2", PhaseShifter(0.2), inputs=("src",), outputs=("o2",))
     nl = Netlist(elements=(p1, p2), source_port="src", source_state=source(), detectors=("o1", "o2"))
     assert any("feeds more than one" in v for v in validate(nl))
+
+
+def test_interface_entered_from_lossy_medium_is_flagged():
+    iface = Element("if", DielectricInterface(1.5 + 0.1j, 1.0), ("src",), ("t", "r"))
+    nl = Netlist(elements=(iface,), source_port="src", source_state=source(), detectors=("t", "r"))
+    assert validate(nl) == ["element if: interface entered from a lossy medium"]
+
+
+def test_non_spec_element_is_unsupported_kind():
+    el = Element("x", object(), ("src",), ("o",))
+    nl = Netlist(elements=(el,), source_port="src", source_state=source(), detectors=("o",))
+    violations = validate(nl)
+    assert "element x: unsupported kind object" in violations
+    with pytest.raises(NetlistError, match="unsupported kind"):
+        run_circuit(nl)
 
 
 def test_run_rejects_invalid_netlist():
@@ -398,6 +413,89 @@ def test_random_netlists_conserve_probability():
         assert total == pytest.approx(1.0, abs=1e-9)
         # ledger telescopes to the global absorbed figure
         assert ledger.total_absorbed() == pytest.approx(pulse.absorbed, abs=1e-10)
+
+
+def reference_run(netlist, units=NATURAL, paper_convention=False):
+    """The isinstance dispatch over element kinds that run_circuit replaced.
+
+    Returns ({port: (array, delay, number)}, ledger rows as tuples, absorbed):
+    the propagation reference run_circuit must match bit for bit.
+    """
+    grid = netlist.source_state.grid
+    by_id = {el.id: el for el in netlist.elements}
+    empty = (np.zeros(grid.n, dtype=complex), 0.0, 0.0)
+
+    def number_of(arr):
+        return float(np.sum(np.abs(arr) ** 2) * grid.dk / (2.0 * np.pi))
+
+    def merge_delay(d0, w0, d1, w1):
+        return 0.0 if w0 + w1 == 0.0 else (w0 * d0 + w1 * d1) / (w0 + w1)
+
+    src = netlist.source_state.c.copy()
+    live = {netlist.source_port: (src, 0.0, number_of(src))}
+    rows, absorbing = [], []
+    for eid in reference_topological_order(netlist):
+        el = by_id[eid]
+        ins = [live.pop(p, empty) for p in el.inputs]
+        n_in = sum(n for _, _, n in ins)
+        spec = el.spec
+        if isinstance(spec, PhaseShifter):
+            arr, delay, _ = ins[0]
+            outs = [(arr * np.exp(1j * spec.phi), delay)]
+        elif isinstance(spec, Mirror):
+            arr, delay, _ = ins[0]
+            outs = [(arr * spec.r, delay)]
+        elif isinstance(spec, MediumSegment):
+            arr, delay, _ = ins[0]
+            omega = units.c * grid.k
+            n = np.asarray(spec.medium.index(omega))
+            transfer = np.exp((1j * n.real - n.imag) * omega * spec.length / units.c)
+            weight = np.abs(arr) ** 2
+            total = weight.sum()
+            n_eff = 0.0 if total == 0.0 else float(np.sum(weight * n.real) / total)
+            outs = [(arr * transfer, delay + n_eff * spec.length / units.c)]
+        elif isinstance(spec, DielectricInterface):
+            arr, delay, _ = ins[0]
+            n1, n2 = complex(spec.n_in), complex(spec.n_out)
+            r_amp, t_amp = fresnel_interface(n1, n2, paper_convention)
+            t_flux = t_amp * np.sqrt(n2.real / n1.real)
+            outs = [(arr * t_flux, delay), (arr * r_amp, delay)]
+        else:
+            (a0, d0, w0), (a1, d1, w1) = ins
+            s = spec.scattering
+            delay = merge_delay(d0, w0, d1, w1)
+            outs = [(s[0, 0] * a0 + s[0, 1] * a1, delay), (s[1, 0] * a0 + s[1, 1] * a1, delay)]
+        numbers = [number_of(arr) for arr, _ in outs]
+        n_out = sum(numbers)
+        rows.append((eid, n_in, n_out, n_in - n_out))
+        if isinstance(spec, MediumSegment):
+            absorbing.append(n_in - n_out)
+        for port, (arr, delay), n in zip(el.outputs, outs, numbers):
+            live[port] = (arr, delay, n)
+    ports = {port: live.pop(port, empty) for port in netlist.detectors}
+    return ports, rows, float(sum(absorbing))
+
+
+@pytest.mark.parametrize("paper_convention", [False, True])
+def test_run_circuit_matches_isinstance_reference_bitwise(paper_convention):
+    grid = KGrid1D(n=256, dk=1.0)
+    rng = np.random.default_rng(3)
+    netlists = [random_netlist(rng, grid) for _ in range(60)] + [clements_mesh()]
+    kinds = {type(el.spec) for nl in netlists for el in nl.elements}
+    assert kinds == {PhaseShifter, BeamSplitter, MediumSegment, DielectricInterface, Mirror}
+    for nl in netlists:
+        pulse, ledger = run_circuit(nl, paper_convention=paper_convention)
+        ports, rows, absorbed = reference_run(nl, paper_convention=paper_convention)
+        assert [(r.element_id, r.number_in, r.number_out, r.absorbed) for r in ledger.rows] == rows
+        assert pulse.absorbed == absorbed
+        for port, (arr, delay, n) in ports.items():
+            rec = pulse.ports[port]
+            assert rec.delay == delay
+            assert rec.path_amplitude == complex(np.sqrt(n))
+            if n > 0.0:
+                assert np.array_equal(rec.spectral.c, arr / np.sqrt(n))
+            else:
+                assert rec.spectral is None
 
 
 def test_run_is_deterministic():

@@ -286,3 +286,121 @@ def test_cli_import_does_not_load_scipy_integrate():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("density", "--time", "nan"), "--time"),
+        (("localized", "--dim", "1", "--k-max", "nan"), "--k-max"),
+        (("localized", "--dim", "3", "--k-max", "1.0", "--delta-t", "inf"), "--delta-t"),
+        (("--grid", "256,nan,1.0", "localized", "--dim", "1", "--k-max", "1.0"), "--grid"),
+        (("fresnel", "--n1", "1.0,inf", "--n2", "1.5"), "--n1"),
+        (("momentum", "--chi", "nan", "--state", "unused.json"), "--chi"),
+    ],
+    ids=["time", "k-max", "delta-t", "grid", "n1", "chi"],
+)
+def test_non_finite_float_flag_exits_2(tmp_path, capsys, args, flag):
+    spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    if args[0] == "density":
+        args = (*args, "--state", spec)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *args)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--grid", "256,abc,1.0", "fresnel", "--n1", "1", "--n2", "1.5"),
+         "argument --grid: invalid _parse_grid value: '256,abc,1.0'"),
+        (("--grid", "100,1.0,1.0", "fresnel", "--n1", "1", "--n2", "1.5"),
+         "argument --grid: sample count must be a power of two, got 100"),
+        (("fresnel", "--n1", "abc", "--n2", "1.5"), "argument --n1: invalid _parse_complex value: 'abc'"),
+        (("fresnel", "--n1", "1,2,3", "--n2", "1.5"), "argument --n1: cannot parse complex value '1,2,3'"),
+    ],
+    ids=["grid-not-a-number", "grid-not-power-of-two", "n1-not-a-number", "n1-three-parts"],
+)
+def test_malformed_number_flag_exits_2(tmp_path, capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys):
+    # finite indices whose sum overflows: t = 2 n1 / (n1 + n2) is inf/inf
+    code, out = run(tmp_path, "fresnel", "--n1", "1e308", "--n2", "1e308")
+    assert code == 3
+    assert "fresnel.json" in capsys.readouterr().err
+    assert not (out / "fresnel.json").exists()
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ([GAUSSIAN_SPEC], "state must be a JSON object, got list"),
+        (GAUSSIAN_SPEC | {"k0": "abc"}, "state: field 'k0' has invalid value 'abc'"),
+        ({"kind": "gaussian", "k0": 600.0}, "state: missing field 'sigma'"),
+        (GAUSSIAN_SPEC | {"helicity": [1]}, "state: field 'helicity' has invalid value [1]"),
+        ({"kind": "amplitude", "N": 256, "dk": 1.0, "area": 1.0, "helicity": 1, "re": ["x"], "im": [0.0]},
+         "state: field 're' has invalid value ['x']"),
+    ],
+    ids=["top-level-list", "k0-not-a-number", "sigma-missing", "helicity-list", "re-strings"],
+)
+def test_malformed_state_json_exits_2_naming_the_field(tmp_path, capsys, state, message):
+    spec = write_json(tmp_path / "state.json", state)
+    code, _ = run(tmp_path, "density", "--state", spec)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def _malformed_netlists():
+    top_list = [mz_netlist(0.3)]
+    bad_phi = mz_netlist(0.3)
+    bad_phi["elements"][1]["params"]["phi"] = "abc"
+    nan_t = mz_netlist(0.3)
+    nan_t["elements"][0]["params"]["t"] = float("nan")
+    no_id = mz_netlist(0.3)
+    del no_id["elements"][2]["id"]
+    bad_ports = mz_netlist(0.3)
+    bad_ports["elements"][1]["in"] = 5
+    nested_port = mz_netlist(0.3)
+    nested_port["detectors"] = [["d_dark"], "d_bright"]
+    bad_source = mz_netlist(0.3)
+    del bad_source["sources"][0]["state"]["k0"]
+    bad_grid = mz_netlist(0.3)
+    bad_grid["grid"]["N"] = "many"
+    return [
+        (top_list, "netlist must be a JSON object, got list"),
+        (bad_phi, "phase_shifter params: field 'phi' has invalid value 'abc'"),
+        (nan_t, "beam_splitter params: field 't' has invalid value nan"),
+        (no_id, "element: missing field 'id'"),
+        (bad_ports, "element: field 'in' has invalid value 5"),
+        (nested_port, "netlist: field 'detectors' has invalid value [['d_dark'], 'd_bright']"),
+        (bad_source, "state: missing field 'k0'"),
+        (bad_grid, "grid: field 'N' has invalid value 'many'"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    _malformed_netlists(),
+    ids=["top-level-list", "phi-not-a-number", "t-nan", "id-missing", "in-not-a-list", "detector-not-a-name",
+         "source-k0-missing", "grid-N-not-a-number"],
+)
+def test_malformed_netlist_json_exits_2_naming_the_field(tmp_path, capsys, obj, message):
+    netlist = write_json(tmp_path / "bad.json", obj)
+    code, _ = run(tmp_path, "circuit", "--netlist", netlist)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_density_pulse_across_the_wrap_exits_2(tmp_path, capsys):
+    spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC | {"x0": 0.0})
+    code, out = run(tmp_path, "density", "--state", spec)
+    assert code == 2
+    assert "wrap-around" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
