@@ -24,7 +24,14 @@ from .optics import (
     Mirror,
     PhaseShifter,
 )
-from .spectral import KGrid1D, SpectralAmplitude, json_field, make_gaussian_state, photon_number
+from .spectral import (
+    KGrid1D,
+    SpectralAmplitude,
+    json_field,
+    make_gaussian_state,
+    photon_number,
+    photon_number_of,
+)
 from .units import NATURAL, UnitsConfig
 
 CONSERVATION_TOL = 1e-9
@@ -223,13 +230,10 @@ def run_circuit(
     omega = units.c * grid.k
     zeros = np.zeros(grid.n, dtype=complex)
 
-    def number_of(arr) -> float:
-        return float(np.sum(np.abs(arr) ** 2) * grid.dk / (2.0 * np.pi))
-
     # live map: port -> (amplitude array, accumulated delay, photon number);
     # each port's number is computed once, when the port is produced
     src = netlist.source_state.c.copy()
-    live = {netlist.source_port: (src, 0.0, number_of(src))}
+    live = {netlist.source_port: (src, 0.0, photon_number_of(src, grid.dk))}
     empty = (zeros, 0.0, 0.0)
     rows = []
     absorbing_rows = []
@@ -240,13 +244,20 @@ def run_circuit(
         n_in = sum(n for _, _, n in ins)
         spec = el.spec
         arrays = [arr for arr, _, _ in ins]
-        outs = [_contract(row, arrays) for row in spec.transfer(omega, units, paper_convention)]
         delay = _merge_delay(ins)
-        numbers = [number_of(arr) for arr in outs]
+        medium = isinstance(spec, MediumSegment)
+        if medium:
+            # one index evaluation serves both the transfer and the group delay
+            n = spec.index(omega)
+            transfer = spec.transfer(omega, units, n=n)
+            delay += spec.group_delay(arrays[0], n, units)
+        else:
+            transfer = spec.transfer(omega, units, paper_convention)
+        outs = [_contract(row, arrays) for row in transfer]
+        numbers = [photon_number_of(arr, grid.dk) for arr in outs]
         n_out = sum(numbers)
         rows.append(LedgerRow(eid, n_in, n_out, n_in - n_out))
-        if isinstance(spec, MediumSegment):
-            delay += spec.group_delay(arrays[0], omega, units)
+        if medium:
             absorbing_rows.append(n_in - n_out)
         for port, arr, n in zip(el.outputs, outs, numbers):
             live[port] = (arr, delay, n)
@@ -329,12 +340,6 @@ def sample_outcomes(pulse: PulseState, seed: int, n_samples: int) -> dict:
     draws = rng.choice(len(labels), size=n_samples, p=weights / total)
     counts = np.bincount(draws, minlength=len(labels))
     return {lab: int(cnt) for lab, cnt in zip(labels, counts)}
-
-
-def detect_sample(pulse: PulseState, seed: int) -> str:
-    """One seeded detection outcome (a detector port name or 'absorbed')."""
-    counts = sample_outcomes(pulse, seed, 1)
-    return next(lab for lab, cnt in counts.items() if cnt == 1)
 
 
 def mach_zehnder_netlist(source_state: SpectralAmplitude, phi: float) -> Netlist:

@@ -4,13 +4,15 @@ Subcommands: density, localized, circuit, fresnel, momentum.  All output is
 CSV/JSON written under --out; runs are deterministic for a given config and
 seed.  Exit codes: 0 success, 2 input or validation error (including
 malformed JSON and numeric flags that are non-finite or do not parse), 3
-numerical invariant violated (including a non-finite result).
+numerical invariant violated (including a non-finite result).  Each
+``cmd_*`` raises a :class:`PhotonfluxError` on bad input and an
+:class:`InvariantError` on a broken invariant; :func:`main` alone turns the
+outcome into an exit code and one ``error: ...`` line on stderr.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,20 +21,12 @@ from . import circuit as circ
 from . import density as dens
 from . import optics
 from . import spectral as spec
-from .errors import InvariantError, PhotonfluxError
-from .units import UnitsConfig, units_for
+from .errors import DomainError, InvariantError, NetlistError, PhotonfluxError
+from .units import units_for
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    units: UnitsConfig
-    grid: spec.KGrid1D
-    out: Path
-    seed: int
 
 
 def _finite_float(text: str) -> float:
@@ -76,10 +70,9 @@ def _load_state_spec(path: str, grid: spec.KGrid1D) -> spec.SpectralAmplitude:
     return circ.state_from_spec(obj, grid)
 
 
-def cmd_density(config: RunConfig, args) -> int:
-    state = _load_state_spec(args.state, config.grid)
-    t = args.time
-    units = config.units
+def cmd_density(args) -> None:
+    state = _load_state_spec(args.state, args.grid)
+    t, units = args.time, args.units
     field = dens.density_field(state, state, t, units)
     spec.assert_support_clear(field.rho)
     current = dens.current_field(state, state, t, units)
@@ -89,20 +82,15 @@ def cmd_density(config: RunConfig, args) -> int:
     if number > 0.0:
         # small enough that the centered-difference truncation error stays
         # below 1e-6 even for broadband pulses
-        dt = config.grid.dx / (256.0 * units.c)
+        dt = args.grid.dx / (256.0 * units.c)
         residual = dens.continuity_residual(state, t, dt, units)
     else:
         residual = 0.0
 
-    out = config.out
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     dens.write_density_csv(
-        out / "density.csv",
-        field.x,
-        field.rho,
-        j=current.j,
-        t=t,
-        k_max=config.grid.k_max,
+        out / "density.csv", field.x, field.rho, j=current.j, t=t, k_max=args.grid.k_max,
         units_mode=units.mode,
     )
     fields.write_csv(out / "fields.csv")
@@ -119,92 +107,59 @@ def cmd_density(config: RunConfig, args) -> int:
     }
     _write_json(out / "summary.json", summary)
     if number > 0.0 and abs(total - number) > 1e-8 * number:
-        print(
-            f"density integral {total!r} disagrees with photon number {number!r}",
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
-    return EXIT_OK
+        raise InvariantError(f"density integral {total!r} disagrees with photon number {number!r}")
 
 
-def cmd_localized(config: RunConfig, args) -> int:
+def cmd_localized(args) -> None:
+    k_max, dt, units = args.k_max, args.delta_t, args.units
     if args.dim not in (1, 3):
-        print("--dim must be 1 or 3", file=sys.stderr)
-        return EXIT_INPUT
-    k_max = args.k_max
-    dt = args.delta_t
-    units = config.units
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
-
+        raise DomainError("--dim must be 1 or 3")
+    if k_max <= 0:
+        raise DomainError("--k-max must be positive")
+    if args.points < 2:
+        raise DomainError("--points must be at least 2")
     if args.dim == 1:
         half = args.span / k_max
-        u = np.linspace(-half, half, args.points)
-        rho_plus = dens.localized_density_1d(u, k_max, config.grid.area)
-        rho_phys = 2.0 * rho_plus.real
-        dens.write_density_csv(
-            out / "localized.csv",
-            u,
-            rho_phys,
-            rho_plus=rho_plus,
-            t=dt,
-            k_max=k_max,
-            units_mode=units.mode,
-        )
-        window = 50.0 / k_max
-        summary = {
-            "dim": 1,
-            "k_max": k_max,
-            "window_halfwidth": window,
-            "tail_mass_physical": dens.tail_mass(rho_phys, u, window, center=0.0),
-            "tail_mass_positive_frequency": dens.tail_mass(rho_plus, u, window, center=0.0),
-            "rho_plus_at_zero": k_max / (2.0 * np.pi * config.grid.area),
-            "units": units.mode,
-        }
+        coords = np.linspace(-half, half, args.points)
+        rho_plus = dens.localized_density_1d(coords, k_max, args.grid.area)
     else:
         shell = units.c * dt
         if shell <= 0:
-            print("--delta-t must be positive for dim=3", file=sys.stderr)
-            return EXIT_INPUT
-        r = np.linspace(2.0 * shell / args.points, 2.0 * shell, args.points)
-        rho_plus = dens.localized_density_3d_profile(r, dt, k_max, units.c)
-        rho_phys = 2.0 * rho_plus.real
-        dens.write_density_csv(
-            out / "localized.csv",
-            r,
-            rho_phys,
-            rho_plus=rho_plus,
-            t=dt,
-            k_max=k_max,
-            units_mode=units.mode,
-        )
-        window = 10.0 / k_max
-        summary = {
-            "dim": 3,
-            "k_max": k_max,
-            "shell_radius": shell,
-            "window_halfwidth": window,
-            "shell_mass_fraction": dens.shell_mass_fraction(r, rho_phys, shell, window),
-            "units": units.mode,
+            raise DomainError("--delta-t must be positive for dim=3")
+        coords = np.linspace(2.0 * shell / args.points, 2.0 * shell, args.points)
+        rho_plus = dens.localized_density_3d_profile(coords, dt, k_max, units.c)
+    rho_phys = 2.0 * rho_plus.real
+
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    dens.write_density_csv(
+        out / "localized.csv", coords, rho_phys, rho_plus=rho_plus, t=dt, k_max=k_max, units_mode=units.mode
+    )
+    if args.dim == 1:
+        window = 50.0 / k_max
+        measures = {
+            "tail_mass_physical": dens.tail_mass(rho_phys, coords, window, center=0.0),
+            "tail_mass_positive_frequency": dens.tail_mass(rho_plus, coords, window, center=0.0),
+            "rho_plus_at_zero": k_max / (2.0 * np.pi * args.grid.area),
         }
+    else:
+        window = 10.0 / k_max
+        measures = {
+            "shell_radius": shell,
+            "shell_mass_fraction": dens.shell_mass_fraction(coords, rho_phys, shell, window),
+        }
+    summary = {"dim": args.dim, "k_max": k_max, "window_halfwidth": window, "units": units.mode, **measures}
     _write_json(out / "localized_summary.json", summary)
-    return EXIT_OK
 
 
-def cmd_circuit(config: RunConfig, args) -> int:
+def cmd_circuit(args) -> None:
     if args.samples < 0:
-        print("--samples must be non-negative", file=sys.stderr)
-        return EXIT_INPUT
-    netlist = circ.load_netlist(args.netlist, default_grid=config.grid)
+        raise DomainError("--samples must be non-negative")
+    netlist = circ.load_netlist(args.netlist, default_grid=args.grid)
     violations = circ.validate(netlist)
     if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_INPUT
-    pulse, ledger = circ.run_circuit(
-        netlist, units=config.units, paper_convention=args.paper_convention
-    )
-    probs = circ.outcome_probabilities(pulse)
+        raise NetlistError("\n".join(f"violation: {v}" for v in violations))
+    pulse, ledger = circ.run_circuit(netlist, units=args.units, paper_convention=args.paper_convention)
     conservation = pulse.total_probability() + pulse.absorbed
     result = {
         "detectors": {
@@ -216,32 +171,22 @@ def cmd_circuit(config: RunConfig, args) -> int:
         "conservation_defect": conservation - 1.0,
         "convention": "paper" if args.paper_convention else "default",
         "ledger": [
-            {
-                "element": row.element_id,
-                "number_in": row.number_in,
-                "number_out": row.number_out,
-                "absorbed": row.absorbed,
-            }
+            {"element": row.element_id, "number_in": row.number_in, "number_out": row.number_out,
+             "absorbed": row.absorbed}
             for row in ledger.rows
         ],
-        "units": config.units.mode,
+        "units": args.units.mode,
     }
     if args.samples:
-        result["samples"] = circ.sample_outcomes(pulse, config.seed, args.samples)
-        result["seed"] = config.seed
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "circuit_result.json", result)
+        result["samples"] = circ.sample_outcomes(pulse, args.seed, args.samples)
+        result["seed"] = args.seed
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_json(args.out / "circuit_result.json", result)
     if not args.paper_convention and abs(conservation - 1.0) > circ.CONSERVATION_TOL:
-        print(
-            f"conservation violated: detectors + absorbed = {conservation!r}",
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
-    return EXIT_OK
+        raise InvariantError(f"conservation violated: detectors + absorbed = {conservation!r}")
 
 
-def cmd_fresnel(config: RunConfig, args) -> int:
+def cmd_fresnel(args) -> None:
     n1, n2 = args.n1, args.n2
     budget = optics.interface_budget(n1, n2, paper_convention=args.paper_convention)
     result = {
@@ -255,30 +200,27 @@ def cmd_fresnel(config: RunConfig, args) -> int:
         "conservation_defect": budget.defect,
         "convention": budget.convention,
     }
-    config.out.mkdir(parents=True, exist_ok=True)
-    _write_json(config.out / "fresnel.json", result)
-    if not args.paper_convention and n1.imag == 0.0 and n2.imag == 0.0:
-        if abs(budget.defect) > 1e-12:
-            print(f"flux conservation defect {budget.defect!r}", file=sys.stderr)
-            return EXIT_INVARIANT
-    return EXIT_OK
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_json(args.out / "fresnel.json", result)
+    lossless = n1.imag == 0.0 and n2.imag == 0.0
+    if not args.paper_convention and lossless and abs(budget.defect) > 1e-12:
+        raise InvariantError(f"flux conservation defect {budget.defect!r}")
 
 
-def cmd_momentum(config: RunConfig, args) -> int:
-    state = _load_state_spec(args.state, config.grid)
+def cmd_momentum(args) -> None:
+    state = _load_state_spec(args.state, args.grid)
     chi = args.chi
-    report = optics.momentum_report(state, chi, config.units)
+    report = optics.momentum_report(state, chi, args.units)
     result = {
         "photon_number": spec.photon_number(state),
         "p_abraham": report.p_abraham,
         "p_minkowski": report.p_minkowski,
         "minkowski_defined": report.minkowski_defined,
         "chi": [chi.real, chi.imag],
-        "units": config.units.mode,
+        "units": args.units.mode,
     }
-    config.out.mkdir(parents=True, exist_ok=True)
-    _write_json(config.out / "momentum.json", result)
-    return EXIT_OK
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_json(args.out / "momentum.json", result)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="photonflux",
         description="One-photon density/current audits and optical-circuit runs.",
     )
-    parser.add_argument("--units", choices=("natural", "si"), default="natural")
-    parser.add_argument("--out", default="photonflux_out", help="output directory")
+    parser.add_argument("--units", type=units_for, default="natural", metavar="{natural,si}")
+    parser.add_argument("--out", type=Path, default="photonflux_out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--grid", type=_parse_grid, default="4096,1.0,1.0", help="N,dk,area")
 
@@ -327,22 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only place an outcome becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            units=units_for(args.units),
-            grid=args.grid,
-            out=Path(args.out),
-            seed=args.seed,
-        )
-        return args.func(config, args)
-    except InvariantError as exc:
+        args.func(args)
+    except (PhotonfluxError, OSError, KeyError, json.JSONDecodeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (PhotonfluxError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # a Python float overflow is a non-finite result, like a NaN in the JSON
+        return EXIT_INVARIANT if isinstance(exc, (InvariantError, OverflowError)) else EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

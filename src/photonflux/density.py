@@ -308,15 +308,6 @@ def tail_mass(values, x, window_halfwidth: float, center: float | None = None) -
     return float(abs(total - inner) / abs(total))
 
 
-def tail_mass_field(field, window_halfwidth: float, center: float | None = None) -> float:
-    """Tail mass of a DensityField (signed) or SplitDensity (magnitude)."""
-    if isinstance(field, SplitDensity):
-        return tail_mass(field.rho_plus, field.x, window_halfwidth, center)
-    if isinstance(field, DensityField):
-        return tail_mass(field.rho, field.x, window_halfwidth, center)
-    raise DimensionError("expected a DensityField or SplitDensity")
-
-
 def write_density_csv(path, x, rho, j=None, rho_plus=None, t: float = 0.0, k_max: float = 0.0, units_mode: str = "natural") -> None:
     """CSV export: coordinate plus rho/J, or coordinate plus rho+ and rho.
 

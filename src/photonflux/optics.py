@@ -250,21 +250,29 @@ class MediumSegment:
         if self.length < 0:
             raise DomainError("segment length must be non-negative")
 
-    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
-        """exp(i omega n' L / c) * exp(-omega n'' L / c) per bin."""
+    def index(self, omega) -> np.ndarray:
+        """Per-bin n = n' + i n''; a gain medium (n'' < 0) is a PassivityError."""
         n = np.asarray(self.medium.index(omega))
         if np.any(n.imag < -PASSIVITY_TOL):
             raise PassivityError("medium index has n'' < 0")
+        return n
+
+    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False, n=None):
+        """exp(i omega n' L / c) * exp(-omega n'' L / c) per bin; ``n`` reuses an ``index(omega)``."""
+        if n is None:
+            n = self.index(omega)
         return ((np.exp((1j * n.real - n.imag) * omega * self.length / units.c),),)
 
-    def group_delay(self, amplitude, omega, units: UnitsConfig = NATURAL) -> float:
-        """n_eff L / c, n_eff the |amplitude|^2-weighted Re n; exact for dispersionless media."""
+    def group_delay(self, amplitude, n, units: UnitsConfig = NATURAL) -> float:
+        """n_eff L / c, n_eff the |amplitude|^2-weighted Re n of ``index(omega)``.
+
+        Exact for dispersionless media.
+        """
         weight = np.abs(amplitude) ** 2
         total = weight.sum()
         if total == 0.0:
             return 0.0
-        n_real = np.asarray(self.medium.index(omega)).real
-        n_eff = float(np.sum(weight * n_real) / total)
+        n_eff = float(np.sum(weight * n.real) / total)
         return n_eff * self.length / units.c
 
 

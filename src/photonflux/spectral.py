@@ -169,12 +169,17 @@ class FieldSet:
 
 
 def photon_number(state: SpectralAmplitude) -> float:
-    """Continuum-measure photon count sum_j |c_j|^2 dk / (2 pi).
+    """Continuum-measure photon count of a state; see :func:`photon_number_of`."""
+    return photon_number_of(state.c, state.grid.dk)
+
+
+def photon_number_of(c, dk: float) -> float:
+    """Continuum-measure photon count sum_j |c_j|^2 dk / (2 pi) of a bare spectrum.
 
     numpy's pairwise summation keeps the result independent of evaluation
     order, so repeated calls are bit-identical.
     """
-    return float(np.sum(np.abs(state.c) ** 2) * state.grid.dk / TWO_PI)
+    return float(np.sum(np.abs(c) ** 2) * dk / TWO_PI)
 
 
 def make_gaussian_state(

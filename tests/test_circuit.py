@@ -17,7 +17,6 @@ from photonflux import (
     PhaseShifter,
     basis_state,
     coincidence_probability,
-    detect_sample,
     load_netlist,
     mach_zehnder_netlist,
     make_gaussian_state,
@@ -515,7 +514,7 @@ def test_certain_detection_always_fires():
     nl = Netlist(elements=(), source_port="a", source_state=source(), detectors=("a",))
     pulse, _ = run_circuit(nl)
     for seed in range(5):
-        assert detect_sample(pulse, seed) == "a"
+        assert sample_outcomes(pulse, seed, 1) == {"a": 1, "absorbed": 0}
 
 
 def test_fully_absorbed_always_absorbed():
@@ -525,7 +524,7 @@ def test_fully_absorbed_always_absorbed():
     nl = Netlist(elements=(seg,), source_port="src", source_state=st, detectors=("out",))
     pulse, _ = run_circuit(nl)
     assert pulse.absorbed == pytest.approx(1.0, abs=1e-9)
-    assert detect_sample(pulse, 3) == "absorbed"
+    assert sample_outcomes(pulse, 3, 1) == {"absorbed": 1, "out": 0}
 
 
 def test_sampling_matches_binomial_bound():

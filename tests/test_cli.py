@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import photonflux
+import photonflux.cli as cli_mod
 from photonflux.cli import main
 
 GAUSSIAN_SPEC = {"kind": "gaussian", "k0": 600.0, "sigma": 20.0, "helicity": 1}
@@ -207,7 +211,6 @@ def test_circuit_lossy_line_ledger(tmp_path):
 
 
 def test_circuit_conservation_breach_exits_3(tmp_path, monkeypatch):
-    import photonflux.cli as cli_mod
     from photonflux.circuit import Ledger, PulseState
 
     def broken_run(netlist, units=None, paper_convention=False):
@@ -404,3 +407,107 @@ def test_density_pulse_across_the_wrap_exits_2(tmp_path, capsys):
     assert code == 2
     assert "wrap-around" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("--dim", "1", "--k-max", "0"), "--k-max"),
+        (("--dim", "3", "--k-max", "-1", "--delta-t", "50"), "--k-max"),
+        (("--dim", "1", "--k-max", "1.0", "--points", "0"), "--points"),
+        (("--dim", "1", "--k-max", "1.0", "--points", "-5"), "--points"),
+        (("--dim", "3", "--k-max", "1.0", "--delta-t", "50", "--points", "1"), "--points"),
+    ],
+    ids=["k-max-zero-dim-1", "k-max-negative-dim-3", "points-zero", "points-negative", "points-one-dim-3"],
+)
+def test_localized_bad_input_exits_2_naming_the_flag(tmp_path, capsys, args, flag):
+    code, out = run(tmp_path, "localized", *args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be")
+    assert not out.exists()
+
+
+def test_density_integral_mismatch_exits_3_after_writing_summary(tmp_path, capsys, monkeypatch):
+    real_density_field = cli_mod.dens.density_field
+
+    def inflated(*args):
+        field = real_density_field(*args)
+        return replace(field, rho=1.5 * field.rho)
+
+    monkeypatch.setattr(cli_mod.dens, "density_field", inflated)
+    spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    code, out = run(tmp_path, "density", "--state", spec)
+    assert code == 3
+    assert "disagrees with photon number" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["density_integral"] == pytest.approx(1.5 * summary["photon_number"], rel=1e-8)
+
+
+def _force_flux_defect(monkeypatch):
+    # the non-conserving Fresnel pair under the default convention
+    real = cli_mod.optics.fresnel_interface
+    monkeypatch.setattr(
+        cli_mod.optics, "fresnel_interface", lambda n1, n2, paper_convention=False: real(n1, n2, True)
+    )
+
+
+@pytest.mark.parametrize(
+    "args, code, patch",
+    [
+        (("density", "--state", "{bad}"), 2, None),
+        (("density", "--state", "{wrap}"), 2, None),
+        (("localized", "--dim", "2", "--k-max", "1.0"), 2, None),
+        (("localized", "--dim", "3", "--k-max", "1.0"), 2, None),
+        (("localized", "--dim", "1", "--k-max", "1.0", "--span", "10"), 2, None),
+        (("circuit", "--netlist", "{unwired}"), 2, None),
+        (("circuit", "--netlist", "{mz}", "--samples", "-1"), 2, None),
+        (("circuit", "--netlist", "{absent}"), 2, None),
+        (("fresnel", "--n1", "1e308", "--n2", "1e308"), 3, None),
+        (("fresnel", "--n1", "1", "--n2", "3"), 3, _force_flux_defect),
+        (("momentum", "--state", "{bad}", "--chi", "1.25"), 2, None),
+    ],
+    ids=["density-malformed", "density-wrap", "localized-dim", "localized-delta-t", "localized-window",
+         "circuit-violations", "circuit-samples", "circuit-missing-file", "fresnel-non-finite",
+         "fresnel-defect", "momentum-malformed"],
+)
+def test_every_error_path_prints_one_error_line(tmp_path, capsys, monkeypatch, args, code, patch):
+    if patch:
+        patch(monkeypatch)
+    unwired = mz_netlist(0.3)
+    unwired["elements"][0]["in"] = ["src"]
+    paths = {
+        "bad": write_json(tmp_path / "bad.json", [GAUSSIAN_SPEC]),
+        "wrap": write_json(tmp_path / "wrap.json", GAUSSIAN_SPEC | {"x0": 0.0}),
+        "unwired": write_json(tmp_path / "unwired.json", unwired),
+        "mz": write_json(tmp_path / "mz.json", mz_netlist(0.3)),
+        "absent": str(tmp_path / "absent.json"),
+    }
+    got, _ = run(tmp_path, *(a.format(**paths) for a in args))
+    assert got == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("error: ") == 1
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dim=st.integers(-1, 4),
+    k_max=finite,
+    span=finite,
+    delta_t=finite,
+    points=st.integers(-3, 2000),
+)
+def test_localized_flags_never_crash(dim, k_max, span, delta_t, points):
+    argv = ["localized", f"--dim={dim}", f"--k-max={k_max!r}", f"--span={span!r}",
+            f"--delta-t={delta_t!r}", f"--points={points}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            code = main(["--out", str(Path(tmp) / "out"), *argv])
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            assert code in (0, 2, 3)

@@ -20,7 +20,6 @@ from photonflux import (
     single_mode_state,
     synthesize_fields,
     tail_mass,
-    tail_mass_field,
 )
 from photonflux.density import write_density_csv
 from photonflux.errors import DimensionError, DomainError, StepSizeError
@@ -274,14 +273,15 @@ def test_tail_mass_guards():
         tail_mass(np.ones(7), u, 0.5)
 
 
-def test_tail_mass_field_dispatch(grid):
+def test_tail_mass_about_centroid_real_and_complex(grid):
+    # no center given: the window sits on the |values|-weighted centroid,
+    # for the signed physical density and for the complex positive-frequency part
     g = make_gaussian_state(200.0, 6.0, grid)
     split = positive_frequency_density(g, g, 0.0)
     field = split.physical()
-    assert tail_mass_field(field, 40.0 / 200.0 * grid.length) < 1.0
-    assert tail_mass_field(split, 40.0 / 200.0 * grid.length) >= 0.0
-    with pytest.raises(DimensionError):
-        tail_mass_field(np.ones(4), 1.0)
+    window = 40.0 / 200.0 * grid.length
+    assert tail_mass(field.rho, field.x, window) < 1.0
+    assert tail_mass(split.rho_plus, split.x, window) >= 0.0
 
 
 def test_localized_centroid_moves_at_c():
