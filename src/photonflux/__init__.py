@@ -5,7 +5,6 @@ from .spectral import (
     FieldSet,
     KGrid1D,
     SpectralAmplitude,
-    XGrid1D,
     assert_support_clear,
     evolve_free,
     extract_spectrum,
@@ -17,9 +16,7 @@ from .spectral import (
     synthesize_fields,
 )
 from .density import (
-    CurrentField,
     DensityField,
-    SplitDensity,
     continuity_residual,
     current_field,
     density_field,

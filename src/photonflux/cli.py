@@ -11,6 +11,7 @@ outcome into an exit code and one ``error: ...`` line on stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -64,6 +65,11 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _csv_header(t: float, k_max: float, units, columns: str) -> str:
+    """The ``# t=... k_max=... units=...`` comment line and the column-name line."""
+    return f"# t={float(t)!r} k_max={float(k_max)!r} units={units.mode}\n{columns}\n"
+
+
 def _load_state_spec(path: str, grid: spec.KGrid1D) -> spec.SpectralAmplitude:
     with open(path) as fh:
         obj = json.load(fh)
@@ -89,11 +95,14 @@ def cmd_density(args) -> None:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
+    x = state.grid.x
     dens.write_density_csv(
-        out / "density.csv", field.x, field.rho, j=current.j, t=t, k_max=args.grid.k_max,
-        units_mode=units.mode,
+        out / "density.csv", _csv_header(t, args.grid.k_max, units, "x,rho,J"), (x, field.rho, current)
     )
-    fields.write_csv(out / "fields.csv")
+    a, e = fields.a_plus, fields.e_plus
+    dens.write_density_csv(
+        out / "fields.csv", "x,re(A+),im(A+),re(E+),im(E+)\n", (x, a.real, a.imag, e.real, e.imag)
+    )
 
     total = field.total()
     summary = {
@@ -133,7 +142,8 @@ def cmd_localized(args) -> None:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     dens.write_density_csv(
-        out / "localized.csv", coords, rho_phys, rho_plus=rho_plus, t=dt, k_max=k_max, units_mode=units.mode
+        out / "localized.csv", _csv_header(dt, k_max, units, "u,re(rho+),im(rho+),rho"),
+        (coords, rho_plus.real, rho_plus.imag, rho_phys),
     )
     if args.dim == 1:
         window = 50.0 / k_max
@@ -223,7 +233,9 @@ def cmd_momentum(args) -> None:
     _write_json(args.out / "momentum.json", result)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # building the argparse tree costs about ten parses, so a process builds it once
     parser = argparse.ArgumentParser(
         prog="photonflux",
         description="One-photon density/current audits and optical-circuit runs.",
@@ -273,10 +285,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (PhotonfluxError, OSError, KeyError, json.JSONDecodeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError:
         # a Python float overflow is a non-finite result, like a NaN in the JSON
-        return EXIT_INVARIANT if isinstance(exc, (InvariantError, OverflowError)) else EXIT_INPUT
+        print("error: non-finite result: float overflow", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (PhotonfluxError, OSError, KeyError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT if isinstance(exc, InvariantError) else EXIT_INPUT
     return EXIT_OK
 
 

@@ -16,23 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, StepSizeError
-from .spectral import (
-    TWO_PI,
-    KGrid1D,
-    SpectralAmplitude,
-    XGrid1D,
-    synthesize_fields,
-)
+from .spectral import TWO_PI, KGrid1D, SpectralAmplitude, synthesize_fields
 from .units import NATURAL, UnitsConfig
+
+# rows formatted per block: bounds the Python float lists a write holds
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class DensityField:
     """Real photon density rho(x) at one time, in 1/(m * area) units."""
 
-    grid: XGrid1D
+    grid: KGrid1D
     t: float
-    area: float
     rho: np.ndarray
 
     @property
@@ -40,7 +36,7 @@ class DensityField:
         return self.grid.x
 
     def total(self) -> float:
-        return float(np.sum(self.rho) * self.grid.dx * self.area)
+        return float(np.sum(self.rho) * self.grid.dx * self.grid.area)
 
     def centroid(self) -> float:
         weight = np.abs(self.rho)
@@ -50,82 +46,51 @@ class DensityField:
         return float(np.sum(self.x * weight) / norm)
 
 
-@dataclass(frozen=True)
-class CurrentField:
-    """Real photon current J(x) at one time, density units times m/s."""
+def _pair_fields(
+    c1: SpectralAmplitude, c2: SpectralAmplitude, t: float, units: UnitsConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A2+, E1+ and B1+ at time t: the operands of the density and current pairings.
 
-    grid: XGrid1D
-    t: float
-    area: float
-    j: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
-
-@dataclass(frozen=True)
-class SplitDensity:
-    """Positive-frequency half rho+(x); the physical density is rho+ + conj."""
-
-    grid: XGrid1D
-    t: float
-    area: float
-    rho_plus: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
-    def physical(self) -> DensityField:
-        return DensityField(
-            grid=self.grid, t=self.t, area=self.area, rho=2.0 * self.rho_plus.real
-        )
-
-
-def _check_pair(c1: SpectralAmplitude, c2: SpectralAmplitude) -> None:
+    Opposite helicities do not pair, so all three are zero then.
+    """
     if c1.grid != c2.grid:
         raise DimensionError("bilinears require a common grid")
+    if c1.helicity != c2.helicity:
+        zero = np.zeros(c1.grid.n, complex)
+        return zero, zero, zero
+    f1 = synthesize_fields(c1, t, units)
+    f2 = synthesize_fields(c2, t, units)
+    return f2.a_plus, f1.e_plus, f1.b_plus
 
 
 def positive_frequency_density(
     c1: SpectralAmplitude, c2: SpectralAmplitude, t: float, units: UnitsConfig = NATURAL
-) -> SplitDensity:
-    """rho+(x) = (i eps0/2 hbar) A2+(x) conj(E1+(x)); zero if helicities differ."""
-    _check_pair(c1, c2)
-    xg = c1.grid.xgrid()
-    if c1.helicity != c2.helicity:
-        return SplitDensity(grid=xg, t=t, area=c1.grid.area, rho_plus=np.zeros(c1.grid.n, complex))
-    f1 = synthesize_fields(c1, t, units)
-    f2 = synthesize_fields(c2, t, units)
-    rho_plus = (1j * units.eps0 / (2.0 * units.hbar)) * f2.a_plus * np.conj(f1.e_plus)
-    return SplitDensity(grid=xg, t=t, area=c1.grid.area, rho_plus=rho_plus)
+) -> np.ndarray:
+    """rho+(x) = (i eps0/2 hbar) A2+(x) conj(E1+(x)) on the grid's x; zero if helicities differ."""
+    a2, e1, _ = _pair_fields(c1, c2, t, units)
+    return (1j * units.eps0 / (2.0 * units.hbar)) * a2 * np.conj(e1)
 
 
 def density_field(
     c1: SpectralAmplitude, c2: SpectralAmplitude, t: float, units: UnitsConfig = NATURAL
 ) -> DensityField:
-    """Physical (real) photon density of the pair at time t."""
-    return positive_frequency_density(c1, c2, t, units).physical()
+    """Physical (real) photon density rho = rho+ + conj(rho+) of the pair at time t."""
+    rho_plus = positive_frequency_density(c1, c2, t, units)
+    return DensityField(grid=c1.grid, t=t, rho=2.0 * rho_plus.real)
 
 
 def current_field(
     c1: SpectralAmplitude, c2: SpectralAmplitude, t: float, units: UnitsConfig = NATURAL
-) -> CurrentField:
+) -> np.ndarray:
     """Photon current J(x) from the A+ x cB- pairing, scaled to m/s units.
 
     The curl partner enters through B+, so this is a genuinely distinct code
     path from :func:`density_field`; for forward-only grids the two must
     agree as J = c * rho.
     """
-    _check_pair(c1, c2)
-    xg = c1.grid.xgrid()
-    if c1.helicity != c2.helicity:
-        return CurrentField(grid=xg, t=t, area=c1.grid.area, j=np.zeros(c1.grid.n))
-    f1 = synthesize_fields(c1, t, units)
-    f2 = synthesize_fields(c2, t, units)
-    j_plus = (1j * units.eps0 * units.c**2 / (2.0 * units.hbar)) * f2.a_plus * np.conj(f1.b_plus)
-    return CurrentField(grid=xg, t=t, area=c1.grid.area, j=2.0 * j_plus.real)
+    a2, _, b1 = _pair_fields(c1, c2, t, units)
+    j_plus = (1j * units.eps0 * units.c**2 / (2.0 * units.hbar)) * a2 * np.conj(b1)
+    return 2.0 * j_plus.real
 
 
 def continuity_residual(
@@ -149,7 +114,7 @@ def continuity_residual(
     rho_p = density_field(state, state, t + dt, units).rho
     drho_dt = (rho_p - rho_m) / (2.0 * dt)
 
-    j = current_field(state, state, t, units).j
+    j = current_field(state, state, t, units)
     if np.ptp(j) <= 1e-12 * np.abs(j).max():
         # spatially uniform transport (single plane wave or zero state):
         # both terms vanish identically
@@ -308,21 +273,17 @@ def tail_mass(values, x, window_halfwidth: float, center: float | None = None) -
     return float(abs(total - inner) / abs(total))
 
 
-def write_density_csv(path, x, rho, j=None, rho_plus=None, t: float = 0.0, k_max: float = 0.0, units_mode: str = "natural") -> None:
-    """CSV export: coordinate plus rho/J, or coordinate plus rho+ and rho.
+def write_density_csv(path, header: str, columns) -> None:
+    """CSV export: ``header`` verbatim, then one row per index of the float ``columns``.
 
     Values are written with shortest round-trip float repr, so identical
     inputs produce byte-identical files.
     """
+    if len({len(column) for column in columns}) != 1:
+        raise ValueError(f"CSV columns differ in length: {[len(column) for column in columns]}")
+    row = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"# t={float(t)!r} k_max={float(k_max)!r} units={units_mode}\n")
-        if rho_plus is not None:
-            fh.write("u,re(rho+),im(rho+),rho\n")
-            for xi, rp, rr in zip(x, rho_plus, rho):
-                fh.write(
-                    f"{float(xi)!r},{float(rp.real)!r},{float(rp.imag)!r},{float(rr)!r}\n"
-                )
-        else:
-            fh.write("x,rho,J\n")
-            for xi, rr, jj in zip(x, rho, j):
-                fh.write(f"{float(xi)!r},{float(rr)!r},{float(jj)!r}\n")
+        fh.write(header)
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for column in columns]
+            fh.write("".join([row % values for values in zip(*block)]))

@@ -136,6 +136,13 @@ def fresnel_interface(n1: complex, n2: complex, paper_convention: bool = False):
     return (n1 - n2) / (n1 + n2), 2 * n1 / (n1 + n2)
 
 
+def require_flux_indices(n_in: complex, n_out: complex) -> None:
+    """The flux ratio Re n_out / Re n_in is a nonnegative number only for Re n_in > 0, Re n_out >= 0."""
+    n_in, n_out = complex(n_in), complex(n_out)
+    if n_in.real <= 0.0 or n_out.real < 0.0:
+        raise DomainError(f"interface needs Re n_in > 0 and Re n_out >= 0, got n_in = {n_in!r}, n_out = {n_out!r}")
+
+
 @dataclass(frozen=True)
 class InterfaceBudget:
     r: complex
@@ -149,6 +156,7 @@ class InterfaceBudget:
 
 def interface_budget(n1: complex, n2: complex, paper_convention: bool = False) -> InterfaceBudget:
     """Probability budget R = |r|^2, T = (Re n2/Re n1)|t|^2 and its defect."""
+    require_flux_indices(n1, n2)
     r, t = fresnel_interface(n1, n2, paper_convention)
     reflectance = abs(r) ** 2
     transmittance = (complex(n2).real / complex(n1).real) * abs(t) ** 2
@@ -289,6 +297,7 @@ class DielectricInterface:
             n = complex(n)
             if n == 0 or not np.isfinite([n.real, n.imag]).all():
                 raise DomainError("indices must be finite and nonzero")
+        require_flux_indices(self.n_in, self.n_out)
 
     def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
         """Transmitted, then reflected output; t is flux-normalized so |t|^2 is a probability."""

@@ -55,24 +55,10 @@ class KGrid1D:
     def dx(self) -> float:
         return TWO_PI / (self.n * self.dk)
 
-    def xgrid(self) -> "XGrid1D":
-        return XGrid1D(n=self.n, dx=self.dx)
-
-
-@dataclass(frozen=True)
-class XGrid1D:
-    """Periodic spatial grid conjugate to a KGrid1D: x_i = i*dx, i = 0..n-1."""
-
-    n: int
-    dx: float
-
     @property
     def x(self) -> np.ndarray:
+        """Conjugate periodic x-grid: x_i = i*dx for i = 0..n-1."""
         return self.dx * np.arange(self.n)
-
-    @property
-    def length(self) -> float:
-        return self.n * self.dx
 
 
 @dataclass(frozen=True)
@@ -111,8 +97,11 @@ class SpectralAmplitude:
             return json_field(obj, key, convert, "state")
 
         grid = KGrid1D(n=get("N", int), dk=get("dk", float), area=get("area", float))
-        c = get("re", _reals) + 1j * get("im", _reals)
-        return cls(grid=grid, helicity=get("helicity", int), c=c)
+        re, im = get("re", _reals), get("im", _reals)
+        if re.shape != im.shape:
+            # numpy would broadcast them, or raise a bare ValueError
+            raise NetlistError(f"state: fields 're' and 'im' differ in shape, {re.shape} vs {im.shape}")
+        return cls(grid=grid, helicity=get("helicity", int), c=re + 1j * im)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -145,7 +134,7 @@ def _reals(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldSet:
-    """Positive-frequency A+, E+, B+ arrays sampled on the x-grid at one time."""
+    """Positive-frequency A+, E+, B+ arrays sampled on ``grid.x`` at one time."""
 
     grid: KGrid1D
     t: float
@@ -153,19 +142,6 @@ class FieldSet:
     a_plus: np.ndarray
     e_plus: np.ndarray
     b_plus: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.xgrid().x
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,re(A+),im(A+),re(E+),im(E+)\n")
-            for x, a, e in zip(self.x, self.a_plus, self.e_plus):
-                fh.write(
-                    f"{float(x)!r},{float(a.real)!r},{float(a.imag)!r},"
-                    f"{float(e.real)!r},{float(e.imag)!r}\n"
-                )
 
 
 def photon_number(state: SpectralAmplitude) -> float:

@@ -1,8 +1,13 @@
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,6 +54,20 @@ def test_density_zero_state(tmp_path):
     assert summary["photon_number"] == 0.0
     rows = (out / "density.csv").read_text().splitlines()[2:]
     assert all(row.split(",")[1] == "0.0" for row in rows)
+
+
+@pytest.mark.parametrize("grid", [photonflux.KGrid1D(8192, 0.5, 2.0), photonflux.KGrid1D(1024, 2.0, 1.0)],
+                         ids=["larger-N", "smaller-N"])
+def test_density_csvs_use_the_amplitude_state_grid(tmp_path, grid):
+    # an amplitude state carries its own N, dk and area; --grid stays at its default
+    amplitude = photonflux.make_gaussian_state(600.0, 20.0, grid).to_json()
+    state = write_json(tmp_path / "state.json", {"kind": "amplitude", **amplitude})
+    code, out = run(tmp_path, "density", "--state", state)
+    assert code == 0
+    x = [repr(float(v)) for v in grid.x]
+    for name in ("density.csv", "fields.csv"):
+        rows = [line.split(",") for line in (out / name).read_text().splitlines() if line[0] in "0123456789-"]
+        assert [row[0] for row in rows] == x
 
 
 def test_density_malformed_spec_exits_2(tmp_path):
@@ -341,6 +360,22 @@ def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys):
     assert not (out / "fresnel.json").exists()
 
 
+def test_main_builds_the_parser_once(tmp_path):
+    cli_mod.build_parser.cache_clear()
+    for _ in range(2):
+        code, _ = run(tmp_path, "fresnel", "--n1", "1", "--n2", "1.5")
+        assert code == 0
+    info = cli_mod.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_float_overflow_exits_3_naming_a_non_finite_result(tmp_path, capsys):
+    # k_max**2 overflows a Python float in the 3D closed form
+    code, _ = run(tmp_path, "localized", "--dim", "3", "--k-max", "1e155", "--delta-t", "50")
+    assert code == 3
+    assert capsys.readouterr().err == "error: non-finite result: float overflow\n"
+
+
 @pytest.mark.parametrize(
     "state, message",
     [
@@ -350,8 +385,10 @@ def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys):
         (GAUSSIAN_SPEC | {"helicity": [1]}, "state: field 'helicity' has invalid value [1]"),
         ({"kind": "amplitude", "N": 256, "dk": 1.0, "area": 1.0, "helicity": 1, "re": ["x"], "im": [0.0]},
          "state: field 're' has invalid value ['x']"),
+        ({"kind": "amplitude", "N": 2, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [1.0, 0.0], "im": [0.0]},
+         "state: fields 're' and 'im' differ in shape, (2,) vs (1,)"),
     ],
-    ids=["top-level-list", "k0-not-a-number", "sigma-missing", "helicity-list", "re-strings"],
+    ids=["top-level-list", "k0-not-a-number", "sigma-missing", "helicity-list", "re-strings", "re-im-lengths"],
 )
 def test_malformed_state_json_exits_2_naming_the_field(tmp_path, capsys, state, message):
     spec = write_json(tmp_path / "state.json", state)
@@ -376,6 +413,8 @@ def _malformed_netlists():
     del bad_source["sources"][0]["state"]["k0"]
     bad_grid = mz_netlist(0.3)
     bad_grid["grid"]["N"] = "many"
+    negative_index = mz_netlist(0.3)
+    negative_index["elements"][1] |= {"kind": "interface", "params": {"n_in": -1.0, "n_out": 1.5}}
     return [
         (top_list, "netlist must be a JSON object, got list"),
         (bad_phi, "phase_shifter params: field 'phi' has invalid value 'abc'"),
@@ -385,6 +424,7 @@ def _malformed_netlists():
         (nested_port, "netlist: field 'detectors' has invalid value [['d_dark'], 'd_bright']"),
         (bad_source, "state: missing field 'k0'"),
         (bad_grid, "grid: field 'N' has invalid value 'many'"),
+        (negative_index, "interface needs Re n_in > 0 and Re n_out >= 0, got n_in = (-1+0j), n_out = (1.5+0j)"),
     ]
 
 
@@ -392,7 +432,7 @@ def _malformed_netlists():
     "obj, message",
     _malformed_netlists(),
     ids=["top-level-list", "phi-not-a-number", "t-nan", "id-missing", "in-not-a-list", "detector-not-a-name",
-         "source-k0-missing", "grid-N-not-a-number"],
+         "source-k0-missing", "grid-N-not-a-number", "interface-negative-index"],
 )
 def test_malformed_netlist_json_exits_2_naming_the_field(tmp_path, capsys, obj, message):
     netlist = write_json(tmp_path / "bad.json", obj)
@@ -465,11 +505,13 @@ def _force_flux_defect(monkeypatch):
         (("circuit", "--netlist", "{absent}"), 2, None),
         (("fresnel", "--n1", "1e308", "--n2", "1e308"), 3, None),
         (("fresnel", "--n1", "1", "--n2", "3"), 3, _force_flux_defect),
+        (("fresnel", "--n1", "0,1", "--n2", "1.5"), 2, None),
+        (("fresnel", "--n1", "-1", "--n2", "1.5"), 2, None),
         (("momentum", "--state", "{bad}", "--chi", "1.25"), 2, None),
     ],
     ids=["density-malformed", "density-wrap", "localized-dim", "localized-delta-t", "localized-window",
          "circuit-violations", "circuit-samples", "circuit-missing-file", "fresnel-non-finite",
-         "fresnel-defect", "momentum-malformed"],
+         "fresnel-defect", "fresnel-imaginary-incident", "fresnel-negative-incident", "momentum-malformed"],
 )
 def test_every_error_path_prints_one_error_line(tmp_path, capsys, monkeypatch, args, code, patch):
     if patch:
@@ -511,3 +553,87 @@ def test_localized_flags_never_crash(dim, k_max, span, delta_t, points):
             assert exc.code == 2
         else:
             assert code in (0, 2, 3)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+@st.composite
+def mutated(draw, obj):
+    """A copy of ``obj`` with one to three values replaced by arbitrary JSON or removed."""
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        if not path:
+            obj = draw(json_values)
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], obj)
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(json_values)
+        else:
+            del parent[path[-1]]
+    return obj
+
+
+# on the fuzz grid 64,1.0,1.0 each of these runs clean (test_fuzz_seeds_run_clean)
+STATE_SPECS = [
+    {"kind": "gaussian", "k0": 30.0, "sigma": 2.0, "helicity": -1, "x0": 3.0},
+    {"kind": "zero"},
+    {"kind": "amplitude", **photonflux.make_gaussian_state(30.0, 2.0, photonflux.KGrid1D(64, 1.0, 1.0)).to_json()},
+]
+ALL_KINDS_NETLIST = {
+    "grid": {"N": 64, "dk": 1.0, "area": 1.0},
+    "elements": [
+        {"id": "bs", "kind": "beam_splitter", "params": {"t": [0.6, 0.0], "r": [0.0, 0.8]},
+         "in": ["src", "vac"], "out": ["a", "b"]},
+        {"id": "ifc", "kind": "interface", "params": {"n_in": 1.0, "n_out": 1.5}, "in": ["a"], "out": ["a1", "refl"]},
+        {"id": "med", "kind": "medium_segment", "params": {"chi": [1.25, 0.01], "length": 2.0},
+         "in": ["a1"], "out": ["a2"]},
+        {"id": "m", "kind": "mirror", "params": {"r": -1.0}, "in": ["b"], "out": ["b1"]},
+        {"id": "ps", "kind": "phase_shifter", "params": {"phi": 0.5}, "in": ["b1"], "out": ["b2"]},
+    ],
+    "sources": [{"port": "src", "state": STATE_SPECS[0]}],
+    "detectors": ["a2", "refl", "b2"],
+    "vacuum": ["vac"],
+}
+
+
+def run_fuzzed_json(obj, *argv):
+    """Exit code of one run on ``obj`` written as the {json} argument; one error line iff nonzero."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "in.json", obj)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["--out", str(Path(tmp) / "out"), *(a.format(json=path) for a in argv)])
+    assert code in (0, 2, 3)
+    assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) == (code != 0)
+    return code
+
+
+def test_fuzz_seeds_run_clean():
+    assert run_fuzzed_json(ALL_KINDS_NETLIST, "circuit", "--netlist", "{json}", "--samples", "3") == 0
+    for state in STATE_SPECS:
+        assert run_fuzzed_json(state, "--grid", "64,1.0,1.0", "density", "--state", "{json}") == 0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(state=st.sampled_from(STATE_SPECS).flatmap(mutated))
+def test_density_state_json_never_crashes(state):
+    run_fuzzed_json(state, "--grid", "64,1.0,1.0", "density", "--state", "{json}")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(netlist=mutated(ALL_KINDS_NETLIST))
+def test_circuit_netlist_json_never_crashes(netlist):
+    run_fuzzed_json(netlist, "circuit", "--netlist", "{json}", "--samples", "3")

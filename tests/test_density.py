@@ -21,7 +21,8 @@ from photonflux import (
     synthesize_fields,
     tail_mass,
 )
-from photonflux.density import write_density_csv
+from photonflux.cli import _csv_header
+from photonflux.density import _CSV_BLOCK_ROWS, write_density_csv
 from photonflux.errors import DimensionError, DomainError, StepSizeError
 from photonflux.units import NATURAL
 
@@ -43,7 +44,7 @@ def test_helicity_mismatch_gives_zero_field(grid):
     a = make_gaussian_state(100.0, 5.0, grid, helicity=+1)
     b = make_gaussian_state(100.0, 5.0, grid, helicity=-1)
     assert np.all(density_field(a, b, 0.0).rho == 0.0)
-    assert np.all(current_field(a, b, 0.0).j == 0.0)
+    assert np.all(current_field(a, b, 0.0) == 0.0)
 
 
 def test_gaussian_density_integrates_to_number(grid):
@@ -84,22 +85,22 @@ def test_mismatched_grids_rejected(grid, small_grid):
 def test_plane_wave_current_value(grid):
     # hand oracle: one-term bilinear J = c * rho = c/(L A)
     pw = single_mode_state(grid, bin_index=69)
-    field = current_field(pw, pw, 0.0)
+    j = current_field(pw, pw, 0.0)
     expected = NATURAL.c / (grid.length * grid.area)
-    np.testing.assert_allclose(field.j, expected, rtol=1e-12)
+    np.testing.assert_allclose(j, expected, rtol=1e-12)
 
 
 def test_zero_state_zero_current(grid):
     from photonflux import SpectralAmplitude
 
     zero = SpectralAmplitude(grid=grid, helicity=+1, c=np.zeros(grid.n, complex))
-    assert np.all(current_field(zero, zero, 0.0).j == 0.0)
+    assert np.all(current_field(zero, zero, 0.0) == 0.0)
 
 
 def test_current_equals_c_times_density(grid):
     g = make_gaussian_state(200.0, 8.0, grid)
     rho = density_field(g, g, 0.0).rho
-    j = current_field(g, g, 0.0).j
+    j = current_field(g, g, 0.0)
     mask = rho > 1e-6 * rho.max()
     np.testing.assert_allclose(j[mask] / rho[mask], NATURAL.c, rtol=1e-8)
 
@@ -277,11 +278,11 @@ def test_tail_mass_about_centroid_real_and_complex(grid):
     # no center given: the window sits on the |values|-weighted centroid,
     # for the signed physical density and for the complex positive-frequency part
     g = make_gaussian_state(200.0, 6.0, grid)
-    split = positive_frequency_density(g, g, 0.0)
-    field = split.physical()
+    rho_plus = positive_frequency_density(g, g, 0.0)
+    field = density_field(g, g, 0.0)
     window = 40.0 / 200.0 * grid.length
     assert tail_mass(field.rho, field.x, window) < 1.0
-    assert tail_mass(split.rho_plus, split.x, window) >= 0.0
+    assert tail_mass(rho_plus, grid.x, window) >= 0.0
 
 
 def test_localized_centroid_moves_at_c():
@@ -366,9 +367,24 @@ def test_density_csv_header(tmp_path, grid):
     field = density_field(g, g, 0.0)
     current = current_field(g, g, 0.0)
     path = tmp_path / "density.csv"
-    write_density_csv(path, field.x, field.rho, j=current.j, t=0.25, k_max=grid.k_max, units_mode="natural")
+    write_density_csv(path, _csv_header(0.25, grid.k_max, NATURAL, "x,rho,J"), (field.x, field.rho, current))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# t=0.25 k_max=")
     assert "units=natural" in lines[0]
     assert lines[1] == "x,rho,J"
     assert len(lines) == grid.n + 2
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+def test_density_csv_rows_across_block_boundaries(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    z = rng.normal(size=rows) * np.exp(1j * rng.uniform(0.0, TWO_PI, rows))
+    z[::7] = -0.0
+    wide = rng.normal(size=rows) * 10.0 ** rng.integers(-320, 300, rows)
+    # strided views of a complex array, as the CLI passes them
+    columns = (np.arange(rows) * 0.1, z.real, z.imag, wide)
+    path = tmp_path / "rows.csv"
+    write_density_csv(path, "# head\nx,a,b,c\n", columns)
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# head", "x,a,b,c"]
+    assert lines[2:] == [",".join(repr(float(v)) for v in row) for row in zip(*columns)]

@@ -35,7 +35,7 @@ def brute_force_a_plus(state, t, units=NATURAL):
     grid = state.grid
     k = grid.k
     omega = units.c * k
-    x = grid.xgrid().x
+    x = grid.x
     pref = np.sqrt(units.hbar / units.eps0)
     weights = grid.dk / (TWO_PI * np.sqrt(omega * grid.area))
     phases = np.exp(1j * (np.outer(x, k) - omega * t))
@@ -128,7 +128,7 @@ def test_single_bin_matches_plane_wave_closed_form(small_grid):
     omega0 = NATURAL.c * k0
     weight = small_grid.dk / (TWO_PI * np.sqrt(omega0 * small_grid.area))
     pref = np.sqrt(NATURAL.hbar / NATURAL.eps0)
-    x = small_grid.xgrid().x
+    x = small_grid.x
     expected = 1j * pref * weight * state.c[j0] * np.exp(1j * (k0 * x - omega0 * t))
     np.testing.assert_allclose(fields.a_plus, expected, atol=1e-12 * np.abs(expected).max())
 
