@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NetlistError, PortError
+from .errors import InvariantError, NetlistError, PortError
 from .optics import (
     BeamSplitter,
     DielectricInterface,
@@ -28,6 +28,7 @@ from .spectral import (
     KGrid1D,
     SpectralAmplitude,
     json_field,
+    json_int,
     make_gaussian_state,
     photon_number,
     photon_number_of,
@@ -104,9 +105,6 @@ class LedgerRow:
 @dataclass(frozen=True)
 class Ledger:
     rows: tuple
-
-    def total_absorbed(self) -> float:
-        return float(sum(row.absorbed for row in self.rows))
 
 
 def validate(netlist: Netlist) -> list:
@@ -329,17 +327,28 @@ def sample_outcomes(pulse: PulseState, seed: int, n_samples: int) -> dict:
 
     Each draw collapses the photon to the zero-photon record; outcomes are
     reported as counts.  Deterministic for a fixed seed.
+
+    One uniform draw u per sample picks the first label whose cumulative
+    probability exceeds u.  That is the inverse-CDF rule inside
+    ``Generator.choice(p=...)`` (cumsum, divide by the last entry,
+    ``random(n)``, ``searchsorted(side="right")``), so the counts equal
+    choice-then-bincount for every seed; counting replaces the per-draw
+    binary search with one comparison pass per label.
     """
     probs = outcome_probabilities(pulse)
     labels = sorted(probs)
     weights = np.array([max(probs[lab], 0.0) for lab in labels])
     total = weights.sum()
+    if not np.isfinite(total):
+        raise InvariantError("outcome probabilities are not finite")
     if total <= 0.0:
         raise PortError("no outcome carries positive probability")
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(labels), size=n_samples, p=weights / total)
-    counts = np.bincount(draws, minlength=len(labels))
-    return {lab: int(cnt) for lab, cnt in zip(labels, counts)}
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(n_samples)
+    # below[i] = draws landing on labels 0..i; u < 1 = cdf[-1] holds for every draw
+    below = [int(np.count_nonzero(u < edge)) for edge in cdf[:-1]] + [n_samples]
+    return {lab: hi - lo for lab, lo, hi in zip(labels, [0, *below], below)}
 
 
 def mach_zehnder_netlist(source_state: SpectralAmplitude, phi: float) -> Netlist:
@@ -407,13 +416,13 @@ def state_from_spec(spec: dict, grid: KGrid1D) -> SpectralAmplitude:
             k0=get("k0"),
             sigma=get("sigma"),
             grid=grid,
-            helicity=get("helicity", int, +1),
+            helicity=get("helicity", json_int, +1),
             x0=get("x0", float, None),
         )
     if kind == "zero":
         return SpectralAmplitude(
             grid=grid,
-            helicity=get("helicity", int, +1),
+            helicity=get("helicity", json_int, +1),
             c=np.zeros(grid.n, dtype=complex),
         )
     if kind == "amplitude":
@@ -432,7 +441,7 @@ def netlist_from_json(obj: dict, default_grid: KGrid1D | None = None) -> Netlist
     g = json_field(obj, "grid", dict, "netlist", None)
     if g is not None:
         grid = KGrid1D(
-            n=json_field(g, "N", int, "grid"),
+            n=json_field(g, "N", json_int, "grid"),
             dk=json_field(g, "dk", float, "grid"),
             area=json_field(g, "area", float, "grid", 1.0),
         )

@@ -88,7 +88,7 @@ def cmd_density(args) -> None:
     if number > 0.0:
         # small enough that the centered-difference truncation error stays
         # below 1e-6 even for broadband pulses
-        dt = args.grid.dx / (256.0 * units.c)
+        dt = state.grid.dx / (256.0 * units.c)
         residual = dens.continuity_residual(state, t, dt, units)
     else:
         residual = 0.0
@@ -97,7 +97,7 @@ def cmd_density(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     x = state.grid.x
     dens.write_density_csv(
-        out / "density.csv", _csv_header(t, args.grid.k_max, units, "x,rho,J"), (x, field.rho, current)
+        out / "density.csv", _csv_header(t, state.grid.k_max, units, "x,rho,J"), (x, field.rho, current)
     )
     a, e = fields.a_plus, fields.e_plus
     dens.write_density_csv(

@@ -71,9 +71,6 @@ class FockState:
     def norm_squared(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_squared() - 1.0) <= tol
-
 
 def vacuum(num_modes: int, n_max: int) -> FockState:
     return FockState(num_modes, n_max, {(0,) * (2 * num_modes): 1.0 + 0.0j})

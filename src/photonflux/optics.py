@@ -76,14 +76,6 @@ class Medium:
     def from_table(cls, omega, chi) -> "Medium":
         return cls(table_omega=np.asarray(omega, float), table_chi=np.asarray(chi, complex))
 
-    @classmethod
-    def from_csv(cls, path) -> "Medium":
-        """Read rows of omega, Re chi, Im chi (comment lines start with #)."""
-        data = np.loadtxt(path, delimiter=",", comments="#")
-        if data.ndim == 1:
-            data = data[None, :]
-        return cls.from_table(data[:, 0], data[:, 1] + 1j * data[:, 2])
-
     def susceptibility(self, omega):
         if self.chi_const is not None:
             out = np.full(np.shape(omega), self.chi_const, dtype=complex)

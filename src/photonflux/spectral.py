@@ -96,12 +96,12 @@ class SpectralAmplitude:
         def get(key, convert):
             return json_field(obj, key, convert, "state")
 
-        grid = KGrid1D(n=get("N", int), dk=get("dk", float), area=get("area", float))
+        grid = KGrid1D(n=get("N", json_int), dk=get("dk", float), area=get("area", float))
         re, im = get("re", _reals), get("im", _reals)
         if re.shape != im.shape:
             # numpy would broadcast them, or raise a bare ValueError
             raise NetlistError(f"state: fields 're' and 'im' differ in shape, {re.shape} vs {im.shape}")
-        return cls(grid=grid, helicity=get("helicity", int), c=re + 1j * im)
+        return cls(grid=grid, helicity=get("helicity", json_int), c=re + 1j * im)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -126,6 +126,15 @@ def json_field(obj, key: str, convert, where: str, default=_REQUIRED):
     except (TypeError, ValueError, IndexError, OverflowError):
         raise NetlistError(f"{where}: field {key!r} has invalid value {raw!r:.40}") from None
     return value
+
+
+def json_int(value) -> int:
+    """json_field converter: an int, or a float with no fractional part (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
 
 
 def _reals(value) -> np.ndarray:
@@ -155,7 +164,7 @@ def photon_number_of(c, dk: float) -> float:
     numpy's pairwise summation keeps the result independent of evaluation
     order, so repeated calls are bit-identical.
     """
-    return float(np.sum(np.abs(c) ** 2) * dk / TWO_PI)
+    return float((np.abs(c) ** 2).sum() * dk / TWO_PI)
 
 
 def make_gaussian_state(

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from photonflux import (
     apply_mode_phase,
     validate,
 )
-from photonflux.circuit import _topological_order, state_from_spec
-from photonflux.errors import NetlistError, PortError
+from photonflux.circuit import PortRecord, PulseState, _topological_order, state_from_spec
+from photonflux.errors import InvariantError, NetlistError, PortError
 from photonflux.optics import DielectricInterface, fresnel_interface
 from photonflux.units import NATURAL
 
@@ -411,7 +412,7 @@ def test_random_netlists_conserve_probability():
         total = pulse.total_probability() + pulse.absorbed
         assert total == pytest.approx(1.0, abs=1e-9)
         # ledger telescopes to the global absorbed figure
-        assert ledger.total_absorbed() == pytest.approx(pulse.absorbed, abs=1e-10)
+        assert sum(row.absorbed for row in ledger.rows) == pytest.approx(pulse.absorbed, abs=1e-10)
 
 
 def reference_run(netlist, units=NATURAL, paper_convention=False):
@@ -545,6 +546,93 @@ def test_sampling_matches_binomial_bound():
     for port, p in (("o1", 0.3), ("o2", 0.7)):
         sigma = np.sqrt(p * (1.0 - p) / n)
         assert abs(counts[port] / n - p) <= 3.0 * sigma
+
+
+def choice_reference(pulse, seed, n):
+    """Generator.choice over the sorted labels, then bincount: sample_outcomes must match it count for count."""
+    probs = outcome_probabilities(pulse)
+    labels = sorted(probs)
+    weights = np.array([max(probs[lab], 0.0) for lab in labels])
+    draws = np.random.default_rng(seed).choice(len(labels), size=n, p=weights / weights.sum())
+    return {lab: int(cnt) for lab, cnt in zip(labels, np.bincount(draws, minlength=len(labels)))}
+
+
+def weighted_pulse(weights):
+    """A pulse whose sorted outcome labels carry exactly ``weights`` ('absorbed' sorts first)."""
+    ports = {f"d{i:02d}": SimpleNamespace(probability=float(w)) for i, w in enumerate(weights[1:])}
+    return PulseState(ports=ports, absorbed=float(weights[0]))
+
+
+def random_weights(rng):
+    """1 to 70 unnormalized weights, zero at the first, a middle or the last label, or none."""
+    weights = rng.random(rng.integers(1, 71)) * rng.uniform(0.5, 2.0)
+    zeros = [rng.choice([0, len(weights) // 2, len(weights) - 1]) for _ in range(rng.integers(0, 3))]
+    weights[zeros] = 0.0
+    if not weights.any():
+        weights[-1] = 1.0
+    return weights
+
+
+def tied_weights(seed, n, rng):
+    """Weights whose cumulative edges equal drawn uniforms exactly, so one draw lands on an edge.
+
+    The draws are multiples of 2**-53 in [0, 1), so their differences and partial sums are
+    exact and the total is exactly 1.0; a repeated edge makes a zero-weight label.
+    """
+    u = np.random.default_rng(seed).random(n)
+    edges = np.sort(rng.choice(u, size=rng.integers(1, min(n, 8) + 1)))
+    weights = np.diff(edges, prepend=0.0, append=1.0)
+    cdf = (weights / weights.sum()).cumsum()
+    assert np.array_equal(cdf[:-1] / cdf[-1], edges)
+    return weights
+
+
+def renormalized_tie(u0):
+    """Two weights whose cdf edge equals ``u0`` only after the division by cdf[-1], or None."""
+    for scale in (0.3, 0.7, 3.0):
+        for step in range(-3, 4):
+            first = u0 * scale
+            weights = np.array([first + step * np.spacing(first), (1.0 - u0) * scale])
+            cdf = (weights / weights.sum()).cumsum()
+            if cdf[0] / cdf[-1] == u0 != cdf[0]:
+                return weights
+    return None
+
+
+def test_sample_outcomes_matches_rng_choice():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for n in (0, 1, 7, 1000, 100_000):
+        cases += [(weighted_pulse(random_weights(rng)), int(rng.integers(2**63)), n) for _ in range(80)]
+        if n == 0:
+            continue
+        for _ in range(10):
+            seed = int(rng.integers(2**63))
+            cases.append((weighted_pulse(tied_weights(seed, n, rng)), seed, n))
+        renormalized = []
+        while len(renormalized) < 10:
+            seed = int(rng.integers(2**63))
+            weights = renormalized_tie(np.random.default_rng(seed).random(n)[rng.integers(n)])
+            if weights is not None:
+                renormalized.append((weighted_pulse(weights), seed, n))
+        cases += renormalized
+    for netlist, n in ((clements_mesh(), 1000), (netlist_from_json(mz_json(0.7)), 100_000)):
+        pulse, _ = run_circuit(netlist)
+        cases += [(pulse, seed, n) for seed in range(200)]
+    assert len(cases) >= 500
+    for pulse, seed, n in cases:
+        counts = sample_outcomes(pulse, seed, n)
+        assert counts == choice_reference(pulse, seed, n)
+        assert all(type(count) is int for count in counts.values())  # JSON-serializable
+
+
+@pytest.mark.parametrize("ports, absorbed", [({"a": complex("nan")}, 0.0), ({}, float("inf")),
+                                             ({"a": 1.0}, float("nan"))], ids=["port-nan", "absorbed-inf",
+                                                                               "absorbed-nan"])
+def test_non_finite_outcome_probability_raises_invariant_error(ports, absorbed):
+    records = {port: PortRecord(path_amplitude=amp, spectral=None, delay=0.0) for port, amp in ports.items()}
+    with pytest.raises(InvariantError, match="outcome probabilities are not finite"):
+        sample_outcomes(PulseState(ports=records, absorbed=absorbed), seed=0, n_samples=10)
 
 
 # ---- fock cross-check --------------------------------------------------------------

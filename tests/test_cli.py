@@ -70,6 +70,18 @@ def test_density_csvs_use_the_amplitude_state_grid(tmp_path, grid):
         assert [row[0] for row in rows] == x
 
 
+def test_density_header_and_continuity_step_use_the_amplitude_state_grid(tmp_path):
+    # --grid stays at its default 4096,1.0,1.0; the state's own grid ends at k = 2048
+    grid = photonflux.KGrid1D(1024, 2.0, 1.0)
+    amplitude = {"kind": "amplitude", **photonflux.make_gaussian_state(600.0, 20.0, grid).to_json()}
+    code, out = run(tmp_path, "density", "--state", write_json(tmp_path / "state.json", amplitude))
+    assert code == 0
+    assert (out / "density.csv").read_text().splitlines()[0] == "# t=0.0 k_max=2048.0 units=natural"
+    state = cli_mod.circ.state_from_spec(amplitude, grid)
+    expected = cli_mod.dens.continuity_residual(state, 0.0, grid.dx / 256.0, cli_mod.units_for("natural"))
+    assert json.loads((out / "summary.json").read_text())["continuity_residual"] == expected
+
+
 def test_density_malformed_spec_exits_2(tmp_path):
     bad = tmp_path / "state.json"
     bad.write_text("{not json")
@@ -387,8 +399,12 @@ def test_float_overflow_exits_3_naming_a_non_finite_result(tmp_path, capsys):
          "state: field 're' has invalid value ['x']"),
         ({"kind": "amplitude", "N": 2, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [1.0, 0.0], "im": [0.0]},
          "state: fields 're' and 'im' differ in shape, (2,) vs (1,)"),
+        (GAUSSIAN_SPEC | {"helicity": 1.9}, "state: field 'helicity' has invalid value 1.9"),
+        ({"kind": "amplitude", "N": 256.7, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [], "im": []},
+         "state: field 'N' has invalid value 256.7"),
     ],
-    ids=["top-level-list", "k0-not-a-number", "sigma-missing", "helicity-list", "re-strings", "re-im-lengths"],
+    ids=["top-level-list", "k0-not-a-number", "sigma-missing", "helicity-list", "re-strings", "re-im-lengths",
+         "helicity-not-integral", "amplitude-N-not-integral"],
 )
 def test_malformed_state_json_exits_2_naming_the_field(tmp_path, capsys, state, message):
     spec = write_json(tmp_path / "state.json", state)
@@ -413,6 +429,10 @@ def _malformed_netlists():
     del bad_source["sources"][0]["state"]["k0"]
     bad_grid = mz_netlist(0.3)
     bad_grid["grid"]["N"] = "many"
+    fractional_n = mz_netlist(0.3)
+    fractional_n["grid"]["N"] = 256.7
+    fractional_helicity = mz_netlist(0.3)
+    fractional_helicity["sources"][0]["state"]["helicity"] = 1.9
     negative_index = mz_netlist(0.3)
     negative_index["elements"][1] |= {"kind": "interface", "params": {"n_in": -1.0, "n_out": 1.5}}
     return [
@@ -424,6 +444,8 @@ def _malformed_netlists():
         (nested_port, "netlist: field 'detectors' has invalid value [['d_dark'], 'd_bright']"),
         (bad_source, "state: missing field 'k0'"),
         (bad_grid, "grid: field 'N' has invalid value 'many'"),
+        (fractional_n, "grid: field 'N' has invalid value 256.7"),
+        (fractional_helicity, "state: field 'helicity' has invalid value 1.9"),
         (negative_index, "interface needs Re n_in > 0 and Re n_out >= 0, got n_in = (-1+0j), n_out = (1.5+0j)"),
     ]
 
@@ -432,7 +454,8 @@ def _malformed_netlists():
     "obj, message",
     _malformed_netlists(),
     ids=["top-level-list", "phi-not-a-number", "t-nan", "id-missing", "in-not-a-list", "detector-not-a-name",
-         "source-k0-missing", "grid-N-not-a-number", "interface-negative-index"],
+         "source-k0-missing", "grid-N-not-a-number", "grid-N-not-integral", "source-helicity-not-integral",
+         "interface-negative-index"],
 )
 def test_malformed_netlist_json_exits_2_naming_the_field(tmp_path, capsys, obj, message):
     netlist = write_json(tmp_path / "bad.json", obj)
@@ -592,6 +615,7 @@ STATE_SPECS = [
     {"kind": "zero"},
     {"kind": "amplitude", **photonflux.make_gaussian_state(30.0, 2.0, photonflux.KGrid1D(64, 1.0, 1.0)).to_json()},
 ]
+UNITS = [[], ["--units", "si"]]
 ALL_KINDS_NETLIST = {
     "grid": {"N": 64, "dk": 1.0, "area": 1.0},
     "elements": [
@@ -622,9 +646,11 @@ def run_fuzzed_json(obj, *argv):
 
 
 def test_fuzz_seeds_run_clean():
-    assert run_fuzzed_json(ALL_KINDS_NETLIST, "circuit", "--netlist", "{json}", "--samples", "3") == 0
-    for state in STATE_SPECS:
-        assert run_fuzzed_json(state, "--grid", "64,1.0,1.0", "density", "--state", "{json}") == 0
+    for units in UNITS:
+        assert run_fuzzed_json(ALL_KINDS_NETLIST, *units, "circuit", "--netlist", "{json}", "--samples", "3") == 0
+        for state in STATE_SPECS:
+            for command in (["density"], ["momentum", "--chi", "1.25"]):
+                assert run_fuzzed_json(state, *units, "--grid", "64,1.0,1.0", *command, "--state", "{json}") == 0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -637,3 +663,17 @@ def test_density_state_json_never_crashes(state):
 @given(netlist=mutated(ALL_KINDS_NETLIST))
 def test_circuit_netlist_json_never_crashes(netlist):
     run_fuzzed_json(netlist, "circuit", "--netlist", "{json}", "--samples", "3")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(state=st.sampled_from(STATE_SPECS).flatmap(mutated), units=st.sampled_from(UNITS),
+       chi=st.sampled_from(["1.25", "0.3,0.1", "-2"]))
+def test_momentum_state_json_never_crashes(state, units, chi):
+    run_fuzzed_json(state, *units, "--grid", "64,1.0,1.0", "momentum", "--state", "{json}", "--chi", chi)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(state=st.sampled_from(STATE_SPECS).flatmap(mutated), netlist=mutated(ALL_KINDS_NETLIST))
+def test_si_units_json_never_crashes(state, netlist):
+    run_fuzzed_json(state, "--units", "si", "--grid", "64,1.0,1.0", "density", "--state", "{json}")
+    run_fuzzed_json(netlist, "--units", "si", "circuit", "--netlist", "{json}", "--samples", "3")

@@ -70,13 +70,6 @@ def test_medium_gain_rejected():
         Medium.from_table([1.0, 2.0], [0.1j, -0.1j])
 
 
-def test_medium_from_csv(tmp_path):
-    path = tmp_path / "chi.csv"
-    path.write_text("# omega, re chi, im chi\n1.0,0.1,0.01\n2.0,0.2,0.02\n")
-    med = Medium.from_csv(path)
-    assert med.susceptibility(1.5) == pytest.approx(0.15 + 0.015j, abs=1e-15)
-
-
 # ---- propagation ------------------------------------------------------------------
 
 def test_lossless_segment_preserves_number(grid):

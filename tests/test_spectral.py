@@ -21,6 +21,7 @@ from photonflux import (
     synthesize_fields,
 )
 from photonflux.errors import DimensionError, DomainError, GridCoverageError
+from photonflux.spectral import json_int
 from photonflux.units import NATURAL
 
 from conftest import random_band_state
@@ -280,6 +281,14 @@ def test_json_round_trip(small_grid):
     assert back.grid == state.grid
     assert back.helicity == -1
     np.testing.assert_array_equal(back.c, state.c)
+
+
+def test_json_int_accepts_only_integral_numbers():
+    for value in (3, -1, 256.0, -1.0):
+        assert json_int(value) == value and type(json_int(value)) is int
+    for value in (1.9, 256.7, float("inf"), float("nan"), True, "3", [1]):
+        with pytest.raises((TypeError, ValueError)):
+            json_int(value)
 
 
 def test_support_check_flags_wraparound(grid):
