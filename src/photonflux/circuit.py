@@ -3,9 +3,10 @@
 A netlist wires one normalized source through phase shifters, beam
 splitters, dielectric segments, interfaces and mirrors to a set of detector
 ports.  Each port carries the (unnormalized) spectral amplitude of the pulse
-that reaches it: dispersion and loss stay frequency-resolved, and the
-probability at a port is simply its photon number.  A per-element ledger
-tracks number in, number out and what was absorbed.
+that reaches it: a segment's medium has a constant complex chi, its index is
+computed once per medium, and its phase and loss act per frequency bin.  The
+probability at a port is its photon number.  A per-element ledger tracks
+number in, number out and what was absorbed.
 """
 
 import heapq
@@ -209,11 +210,12 @@ def run_circuit(
     """Propagate the source pulse to every detector port.
 
     Elements are applied in topological order, each by contracting its
-    ``transfer`` with its input spectra (per bin where it is dispersive).  The
-    returned ledger satisfies number_in = number_out + absorbed per element
-    (exactly, by construction of the rows).  With ``paper_convention``
-    interfaces use the non-conserving literal Fresnel pair, so end-to-end
-    conservation is expected to fail by the quantified defect.
+    ``transfer`` with its input spectra (per bin for a medium segment, which
+    also adds its group delay).  The returned ledger satisfies number_in =
+    number_out + absorbed per element (exactly, by construction of the
+    rows).  With ``paper_convention`` interfaces use the non-conserving
+    literal Fresnel pair, so end-to-end conservation is expected to fail by
+    the quantified defect.
     """
     violations = validate(netlist)
     if violations:
@@ -245,13 +247,8 @@ def run_circuit(
         delay = _merge_delay(ins)
         medium = isinstance(spec, MediumSegment)
         if medium:
-            # one index evaluation serves both the transfer and the group delay
-            n = spec.index(omega)
-            transfer = spec.transfer(omega, units, n=n)
-            delay += spec.group_delay(arrays[0], n, units)
-        else:
-            transfer = spec.transfer(omega, units, paper_convention)
-        outs = [_contract(row, arrays) for row in transfer]
+            delay += spec.group_delay(arrays[0], units)
+        outs = [_contract(row, arrays) for row in spec.transfer(omega, units, paper_convention)]
         numbers = [photon_number_of(arr, grid.dk) for arr in outs]
         n_out = sum(numbers)
         rows.append(LedgerRow(eid, n_in, n_out, n_in - n_out))

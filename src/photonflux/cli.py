@@ -38,6 +38,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: numpy seeds its generator only from integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> spec.KGrid1D:
     parts = text.split(",")
     if len(parts) != 3:
@@ -131,21 +139,7 @@ def cmd_localized(args) -> None:
         half = args.span / k_max
         coords = np.linspace(-half, half, args.points)
         rho_plus = dens.localized_density_1d(coords, k_max, args.grid.area)
-    else:
-        shell = units.c * dt
-        if shell <= 0:
-            raise DomainError("--delta-t must be positive for dim=3")
-        coords = np.linspace(2.0 * shell / args.points, 2.0 * shell, args.points)
-        rho_plus = dens.localized_density_3d_profile(coords, dt, k_max, units.c)
-    rho_phys = 2.0 * rho_plus.real
-
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    dens.write_density_csv(
-        out / "localized.csv", _csv_header(dt, k_max, units, "u,re(rho+),im(rho+),rho"),
-        (coords, rho_plus.real, rho_plus.imag, rho_phys),
-    )
-    if args.dim == 1:
+        rho_phys = 2.0 * rho_plus.real
         window = 50.0 / k_max
         measures = {
             "tail_mass_physical": dens.tail_mass(rho_phys, coords, window, center=0.0),
@@ -153,12 +147,26 @@ def cmd_localized(args) -> None:
             "rho_plus_at_zero": k_max / (2.0 * np.pi * args.grid.area),
         }
     else:
+        shell = units.c * dt
+        if shell <= 0:
+            raise DomainError("--delta-t must be positive for dim=3")
+        coords = np.linspace(2.0 * shell / args.points, 2.0 * shell, args.points)
+        rho_plus = dens.localized_density_3d_profile(coords, dt, k_max, units.c)
+        rho_phys = 2.0 * rho_plus.real
         window = 10.0 / k_max
         measures = {
             "shell_radius": shell,
             "shell_mass_fraction": dens.shell_mass_fraction(coords, rho_phys, shell, window),
         }
     summary = {"dim": args.dim, "k_max": k_max, "window_halfwidth": window, "units": units.mode, **measures}
+
+    # the measures above can reject the window, so --out is created only after them
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    dens.write_density_csv(
+        out / "localized.csv", _csv_header(dt, k_max, units, "u,re(rho+),im(rho+),rho"),
+        (coords, rho_plus.real, rho_plus.imag, rho_phys),
+    )
     _write_json(out / "localized_summary.json", summary)
 
 
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--units", type=units_for, default="natural", metavar="{natural,si}")
     parser.add_argument("--out", type=Path, default="photonflux_out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--grid", type=_parse_grid, default="4096,1.0,1.0", help="N,dk,area")
 
     sub = parser.add_subparsers(dest="command", required=True)

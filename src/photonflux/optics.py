@@ -1,13 +1,14 @@
 """Material response, interface coefficients and momentum bookkeeping.
 
-Media are passive (Im chi >= 0) with a constant or tabulated complex
-susceptibility; the refractive index is the principal root n = sqrt(1+chi).
-Normal incidence only.  Two Fresnel conventions are carried: the default
-flux-conserving amplitude pair, and a literal (n-1)/(n+1), 2n/(n+1) pair kept
-for comparison because it does not conserve single-photon probability.
+Media are passive (Im chi >= 0) with one constant complex chi; the
+refractive index is the principal root n = sqrt(1+chi), computed once when
+the medium is built.  Normal incidence only.  Two Fresnel conventions are
+carried: the default flux-conserving amplitude pair, and a literal
+(n-1)/(n+1), 2n/(n+1) pair kept for comparison because it does not conserve
+single-photon probability.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -20,78 +21,39 @@ UNITARITY_TOL = 1e-12
 PASSIVITY_TOL = 1e-15
 
 
-def refractive_index(chi):
-    """Principal-branch n = sqrt(1 + chi); scalar or array.
+def refractive_index(chi: complex) -> complex:
+    """Principal-branch n = sqrt(1 + chi).
 
     1 + chi on the closed negative real axis is rejected: the branch point
     would make n discontinuous (or zero), and such media are outside the
     passive-dielectric model.
     """
-    chi_arr = np.asarray(chi, dtype=complex)
-    z = 1.0 + chi_arr
-    bad = (z.imag == 0.0) & (z.real <= 0.0)
-    if np.any(bad):
+    z = 1.0 + complex(chi)
+    if z.imag == 0.0 and z.real <= 0.0:
         raise DomainError("1 + chi lies on the principal branch cut")
-    n = np.sqrt(z)
-    if np.isscalar(chi) or chi_arr.ndim == 0:
-        return complex(n)
-    return n
+    return complex(np.sqrt(z))
 
 
 @dataclass(frozen=True)
 class Medium:
-    """Passive dielectric: constant chi, or a table linearly interpolated in omega."""
+    """Passive dielectric with a constant complex chi; its index n is computed once, here."""
 
-    chi_const: complex | None = None
-    table_omega: np.ndarray | None = None
-    table_chi: np.ndarray | None = None
+    chi: complex
+    n: complex = field(init=False)
 
     def __post_init__(self):
-        if (self.chi_const is None) == (self.table_omega is None):
-            raise DomainError("give exactly one of chi_const or a table")
-        if self.chi_const is not None:
-            self._validate(np.asarray([self.chi_const], dtype=complex))
-        else:
-            om = np.asarray(self.table_omega, dtype=float)
-            ch = np.asarray(self.table_chi, dtype=complex)
-            if om.ndim != 1 or om.shape != ch.shape or om.size < 2:
-                raise DomainError("table needs matching 1-d omega and chi arrays")
-            if np.any(np.diff(om) <= 0):
-                raise DomainError("table omega grid must be strictly increasing")
-            self._validate(ch)
-            object.__setattr__(self, "table_omega", om)
-            object.__setattr__(self, "table_chi", ch)
-
-    @staticmethod
-    def _validate(chi: np.ndarray) -> None:
-        if np.any(chi.imag < -PASSIVITY_TOL):
+        chi = complex(self.chi)
+        if chi.imag < -PASSIVITY_TOL:
             raise PassivityError("Im chi < 0: medium would amplify")
-        refractive_index(chi)  # rejects branch-cut values
+        n = refractive_index(chi)  # rejects branch-cut values
+        if n.imag < -PASSIVITY_TOL:
+            raise PassivityError("medium index has n'' < 0")
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def constant(cls, chi: complex) -> "Medium":
-        return cls(chi_const=complex(chi))
-
-    @classmethod
-    def from_table(cls, omega, chi) -> "Medium":
-        return cls(table_omega=np.asarray(omega, float), table_chi=np.asarray(chi, complex))
-
-    def susceptibility(self, omega):
-        if self.chi_const is not None:
-            out = np.full(np.shape(omega), self.chi_const, dtype=complex)
-            return complex(self.chi_const) if np.ndim(omega) == 0 else out
-        om = np.asarray(omega, dtype=float)
-        lo, hi = self.table_omega[0], self.table_omega[-1]
-        if np.any(om < lo) or np.any(om > hi):
-            raise DomainError(
-                f"omega outside tabulated range [{lo:.6g}, {hi:.6g}]"
-            )
-        re = np.interp(om, self.table_omega, self.table_chi.real)
-        im = np.interp(om, self.table_omega, self.table_chi.imag)
-        return re + 1j * im
-
-    def index(self, omega):
-        return refractive_index(self.susceptibility(omega))
+        return cls(chi)
 
 
 def propagate_in_medium(
@@ -250,29 +212,18 @@ class MediumSegment:
         if self.length < 0:
             raise DomainError("segment length must be non-negative")
 
-    def index(self, omega) -> np.ndarray:
-        """Per-bin n = n' + i n''; a gain medium (n'' < 0) is a PassivityError."""
-        n = np.asarray(self.medium.index(omega))
-        if np.any(n.imag < -PASSIVITY_TOL):
-            raise PassivityError("medium index has n'' < 0")
-        return n
-
-    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False, n=None):
-        """exp(i omega n' L / c) * exp(-omega n'' L / c) per bin; ``n`` reuses an ``index(omega)``."""
-        if n is None:
-            n = self.index(omega)
+    def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
+        """exp(i omega n' L / c) * exp(-omega n'' L / c) per bin."""
+        n = self.medium.n
         return ((np.exp((1j * n.real - n.imag) * omega * self.length / units.c),),)
 
-    def group_delay(self, amplitude, n, units: UnitsConfig = NATURAL) -> float:
-        """n_eff L / c, n_eff the |amplitude|^2-weighted Re n of ``index(omega)``.
-
-        Exact for dispersionless media.
-        """
+    def group_delay(self, amplitude, units: UnitsConfig = NATURAL) -> float:
+        """n_eff L / c, n_eff the |amplitude|^2-weighted Re n: Re n itself, but for a rounding every delay carries."""
         weight = np.abs(amplitude) ** 2
         total = weight.sum()
         if total == 0.0:
             return 0.0
-        n_eff = float(np.sum(weight * n.real) / total)
+        n_eff = float(np.sum(weight * self.medium.n.real) / total)
         return n_eff * self.length / units.c
 
 

@@ -21,6 +21,7 @@ from .errors import DimensionError, DomainError, GridCoverageError, NetlistError
 from .units import NATURAL, UnitsConfig
 
 TWO_PI = 2.0 * np.pi
+MAX_GRID_N = 2**24  # 1024x the benchmark's largest grid; a larger N would allocate gigabytes unchecked
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class KGrid1D:
     def __post_init__(self):
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise DomainError(f"sample count must be a power of two, got {self.n}")
+        if self.n > MAX_GRID_N:
+            raise DomainError(f"sample count must be at most 2**24 = {MAX_GRID_N}, got {self.n}")
         if self.dk <= 0:
             raise DomainError("dk must be positive")
         if self.area <= 0:

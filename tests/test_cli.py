@@ -354,14 +354,20 @@ def test_non_finite_float_flag_exits_2(tmp_path, capsys, args, flag):
          "argument --grid: sample count must be a power of two, got 100"),
         (("fresnel", "--n1", "abc", "--n2", "1.5"), "argument --n1: invalid _parse_complex value: 'abc'"),
         (("fresnel", "--n1", "1,2,3", "--n2", "1.5"), "argument --n1: cannot parse complex value '1,2,3'"),
+        (("--seed", "-1", "circuit", "--netlist", "mz.json", "--samples", "10"),
+         "argument --seed: must be a non-negative integer, got '-1'"),
+        (("--grid", "4611686018427387904,1,1", "density", "--state", "g.json"),
+         "argument --grid: sample count must be at most 2**24 = 16777216, got 4611686018427387904"),
     ],
-    ids=["grid-not-a-number", "grid-not-power-of-two", "n1-not-a-number", "n1-three-parts"],
+    ids=["grid-not-a-number", "grid-not-power-of-two", "n1-not-a-number", "n1-three-parts", "seed-negative",
+         "grid-N-too-large"],
 )
 def test_malformed_number_flag_exits_2(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, *args)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys):
@@ -402,9 +408,11 @@ def test_float_overflow_exits_3_naming_a_non_finite_result(tmp_path, capsys):
         (GAUSSIAN_SPEC | {"helicity": 1.9}, "state: field 'helicity' has invalid value 1.9"),
         ({"kind": "amplitude", "N": 256.7, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [], "im": []},
          "state: field 'N' has invalid value 256.7"),
+        ({"kind": "amplitude", "N": 2**62, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [], "im": []},
+         "sample count must be at most 2**24 = 16777216, got 4611686018427387904"),
     ],
     ids=["top-level-list", "k0-not-a-number", "sigma-missing", "helicity-list", "re-strings", "re-im-lengths",
-         "helicity-not-integral", "amplitude-N-not-integral"],
+         "helicity-not-integral", "amplitude-N-not-integral", "amplitude-N-too-large"],
 )
 def test_malformed_state_json_exits_2_naming_the_field(tmp_path, capsys, state, message):
     spec = write_json(tmp_path / "state.json", state)
@@ -431,6 +439,8 @@ def _malformed_netlists():
     bad_grid["grid"]["N"] = "many"
     fractional_n = mz_netlist(0.3)
     fractional_n["grid"]["N"] = 256.7
+    huge_n = mz_netlist(0.3)
+    huge_n["grid"]["N"] = 2**25
     fractional_helicity = mz_netlist(0.3)
     fractional_helicity["sources"][0]["state"]["helicity"] = 1.9
     negative_index = mz_netlist(0.3)
@@ -445,6 +455,7 @@ def _malformed_netlists():
         (bad_source, "state: missing field 'k0'"),
         (bad_grid, "grid: field 'N' has invalid value 'many'"),
         (fractional_n, "grid: field 'N' has invalid value 256.7"),
+        (huge_n, "sample count must be at most 2**24 = 16777216, got 33554432"),
         (fractional_helicity, "state: field 'helicity' has invalid value 1.9"),
         (negative_index, "interface needs Re n_in > 0 and Re n_out >= 0, got n_in = (-1+0j), n_out = (1.5+0j)"),
     ]
@@ -454,7 +465,8 @@ def _malformed_netlists():
     "obj, message",
     _malformed_netlists(),
     ids=["top-level-list", "phi-not-a-number", "t-nan", "id-missing", "in-not-a-list", "detector-not-a-name",
-         "source-k0-missing", "grid-N-not-a-number", "grid-N-not-integral", "source-helicity-not-integral",
+         "source-k0-missing", "grid-N-not-a-number", "grid-N-not-integral", "grid-N-too-large",
+         "source-helicity-not-integral",
          "interface-negative-index"],
 )
 def test_malformed_netlist_json_exits_2_naming_the_field(tmp_path, capsys, obj, message):
@@ -548,11 +560,13 @@ def test_every_error_path_prints_one_error_line(tmp_path, capsys, monkeypatch, a
         "mz": write_json(tmp_path / "mz.json", mz_netlist(0.3)),
         "absent": str(tmp_path / "absent.json"),
     }
-    got, _ = run(tmp_path, *(a.format(**paths) for a in args))
+    got, out = run(tmp_path, *(a.format(**paths) for a in args))
     assert got == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("error: ") == 1
+    if code == 2:
+        assert not out.exists()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -634,14 +648,21 @@ ALL_KINDS_NETLIST = {
 
 
 def run_fuzzed_json(obj, *argv):
-    """Exit code of one run on ``obj`` written as the {json} argument; one error line iff nonzero."""
+    """Exit code of one run on ``obj`` written as the {json} argument; one error line iff nonzero.
+
+    A flag that argparse rejects exits 2 through its usage message, whose error line starts ``photonflux: error: ``.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = write_json(Path(tmp) / "in.json", obj)
         err = io.StringIO()
         with redirect_stderr(err):
-            code = main(["--out", str(Path(tmp) / "out"), *(a.format(json=path) for a in argv)])
+            try:
+                code = main(["--out", str(Path(tmp) / "out"), *(a.format(json=path) for a in argv)])
+            except SystemExit as exc:
+                code = exc.code
     assert code in (0, 2, 3)
-    assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) == (code != 0)
+    error_lines = [line for line in err.getvalue().splitlines() if line.startswith(("error: ", "photonflux: error: "))]
+    assert len(error_lines) == (code != 0)
     return code
 
 
@@ -677,3 +698,16 @@ def test_momentum_state_json_never_crashes(state, units, chi):
 def test_si_units_json_never_crashes(state, netlist):
     run_fuzzed_json(state, "--units", "si", "--grid", "64,1.0,1.0", "density", "--state", "{json}")
     run_fuzzed_json(netlist, "--units", "si", "circuit", "--netlist", "{json}", "--samples", "3")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    units=st.sampled_from(UNITS),
+    seed=st.integers(-2**70, 2**70),
+    samples=st.integers(-3, 2000),
+    grid_n=st.sampled_from([64, 1024, 2**24]) | st.integers(-3, 70) | st.integers(0, 62).map(lambda e: 2**e),
+)
+def test_global_flags_never_crash(units, seed, samples, grid_n):
+    # the netlist carries its own grid, so --grid is parsed and checked but allocates nothing
+    run_fuzzed_json(ALL_KINDS_NETLIST, *units, f"--seed={seed}", f"--grid={grid_n},1.0,1.0",
+                    "circuit", "--netlist", "{json}", f"--samples={samples}")

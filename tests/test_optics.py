@@ -49,25 +49,19 @@ def test_index_branch_cut_rejected():
 
 # ---- media ----------------------------------------------------------------------
 
-def test_medium_constant_and_table_agree():
-    med_c = Medium.constant(0.5 + 0.01j)
-    omega = np.array([1.0, 2.0, 3.0])
-    table = Medium.from_table([0.5, 5.0], [0.5 + 0.01j, 0.5 + 0.01j])
-    np.testing.assert_allclose(med_c.susceptibility(omega), table.susceptibility(omega))
-
-
-def test_medium_table_interpolates_linearly():
-    med = Medium.from_table([1.0, 3.0], [0.0 + 0.0j, 0.4 + 0.2j])
-    assert med.susceptibility(2.0) == pytest.approx(0.2 + 0.1j, abs=1e-15)
-    with pytest.raises(DomainError):
-        med.susceptibility(10.0)
-
-
 def test_medium_gain_rejected():
     with pytest.raises(PassivityError):
         Medium.constant(0.5 - 0.1j)
-    with pytest.raises(PassivityError):
-        Medium.from_table([1.0, 2.0], [0.1j, -0.1j])
+    # Im chi = -1e-15 is within tolerance, but near the branch point the root
+    # amplifies (n'' is about -5e-13): building the medium already fails
+    with pytest.raises(PassivityError, match="n'' < 0"):
+        Medium.constant(complex(-0.999999, -1e-15))
+
+
+def test_medium_index_is_the_principal_root():
+    med = Medium.constant(0.44 + 0.03j)
+    assert med.chi == 0.44 + 0.03j
+    assert med.n == refractive_index(0.44 + 0.03j)
 
 
 # ---- propagation ------------------------------------------------------------------
@@ -87,8 +81,7 @@ def test_half_amplitude_attenuation(grid):
     length = np.log(2.0) * NATURAL.c / (omega * n_pp)
     n = 1.3 + 1j * n_pp
     med = Medium.constant(n * n - 1.0)
-    got_n = med.index(omega)
-    assert got_n == pytest.approx(n, abs=1e-12)
+    assert med.n == pytest.approx(n, abs=1e-12)
     out = propagate_in_medium(state, med, length)
     ratio = np.abs(out.c[bin_index]) / np.abs(state.c[bin_index])
     assert ratio == pytest.approx(0.5, abs=1e-12)
