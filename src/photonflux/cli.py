@@ -3,11 +3,12 @@
 Subcommands: density, localized, circuit, fresnel, momentum.  All output is
 CSV/JSON written under --out; runs are deterministic for a given config and
 seed.  Exit codes: 0 success, 2 input or validation error (including
-malformed JSON and numeric flags that are non-finite or do not parse), 3
-numerical invariant violated (including a non-finite result).  Each
-``cmd_*`` raises a :class:`PhotonfluxError` on bad input and an
-:class:`InvariantError` on a broken invariant; :func:`main` alone turns the
-outcome into an exit code and one ``error: ...`` line on stderr.
+malformed JSON and numeric flags that are non-finite, do not parse or
+exceed their ceiling), 3 numerical invariant violated (including a
+non-finite result).  Each ``cmd_*`` raises a :class:`PhotonfluxError` on
+bad input and an :class:`InvariantError` on a broken invariant;
+:func:`main` alone turns the outcome into an exit code and one
+``error: ...`` line on stderr.
 """
 
 import argparse
@@ -43,6 +44,14 @@ def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type: a count at most the grid's ceiling, so no count allocates unchecked."""
+    value = int(text)
+    if value > spec.MAX_GRID_N:
+        raise argparse.ArgumentTypeError(f"must be at most 2**24 = {spec.MAX_GRID_N}, got {value}")
     return value
 
 
@@ -264,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--k-max", type=_finite_float, required=True)
     p.add_argument("--delta-t", type=_finite_float, default=0.0)
-    p.add_argument("--points", type=int, default=4001)
+    p.add_argument("--points", type=_count, default=4001)
     p.add_argument("--span", type=_finite_float, default=500.0, help="u-range in units of 1/k_max (dim=1)")
     p.set_defaults(func=cmd_localized)
 
     p = sub.add_parser("circuit", help="validate and run a netlist")
     p.add_argument("--netlist", required=True)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=_count, default=0)
     p.add_argument("--paper-convention", action="store_true")
     p.set_defaults(func=cmd_circuit)
 

@@ -11,6 +11,9 @@ pointwise for forward-only states, which makes the continuity residual a
 pure time-differencing check.
 """
 
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,8 @@ from .units import NATURAL, UnitsConfig
 
 # rows formatted per block: bounds the Python float lists a write holds
 _CSV_BLOCK_ROWS = 1024
+# bytes copied from a worker's pipe into the CSV file per read
+_PIPE_CHUNK = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -273,17 +278,98 @@ def tail_mass(values, x, window_halfwidth: float, center: float | None = None) -
     return float(abs(total - inner) / abs(total))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _csv_workers(rows: int) -> int:
+    """Processes that format a table of ``rows`` rows; 1 means no fork.
+
+    A fork costs a few ms, so each worker gets at least four blocks, and a
+    process with other Python threads is never forked.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), rows // (4 * _CSV_BLOCK_ROWS)))
+
+
+def _format_rows(write, row: str, columns, start: int, stop: int) -> None:
+    """Pass rows ``[start, stop)`` to ``write`` as ASCII bytes, one block at a time."""
+    for lo in range(start, stop, _CSV_BLOCK_ROWS):
+        block = [column[lo:min(lo + _CSV_BLOCK_ROWS, stop)].tolist() for column in columns]
+        write("".join([row % values for values in zip(*block)]).encode())
+
+
+def _fork_rows(row: str, columns, start: int, stop: int) -> tuple[int, int]:
+    """Fork a child that formats rows ``[start, stop)`` into a pipe; returns (pid, read fd).
+
+    The child holds its whole range before writing, so a full pipe never
+    stalls its formatting.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns after forking a process with native threads
+            # (numpy's BLAS pool); the child touches no BLAS, and a warning
+            # turned into an error here would orphan a forked child
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            chunks = []
+            _format_rows(chunks.append, row, columns, start, stop)
+            with open(write_fd, "wb") as pipe:
+                pipe.writelines(chunks)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
 def write_density_csv(path, header: str, columns) -> None:
     """CSV export: ``header`` verbatim, then one row per index of the float ``columns``.
 
     Values are written with shortest round-trip float repr, so identical
-    inputs produce byte-identical files.
+    inputs produce byte-identical files.  Large tables are split into
+    contiguous row ranges, one per usable CPU: forked children format all
+    but the first, which this process formats while they run, and their
+    output is copied into the file in row order.  If a child fails, the
+    file is removed and :class:`OSError` is raised.
     """
     if len({len(column) for column in columns}) != 1:
         raise ValueError(f"CSV columns differ in length: {[len(column) for column in columns]}")
+    rows = len(columns[0])
+    workers = _csv_workers(rows)
+    bounds = [rows * i // workers for i in range(workers + 1)]
     row = ",".join(["%r"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header)
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for column in columns]
-            fh.write("".join([row % values for values in zip(*block)]))
+    children = []  # (pid, read fd), in range order
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_rows(row, columns, start, stop))
+        with open(path, "wb") as fh:
+            fh.write(header.encode())
+            _format_rows(fh.write, row, columns, bounds[0], bounds[1])
+            # one reused buffer: a new bytes object per read fragmented the
+            # heap of a long-running caller and raised its peak RSS
+            buffer = memoryview(bytearray(_PIPE_CHUNK))
+            for _, read_fd in children:
+                while count := os.readv(read_fd, [buffer]):
+                    fh.write(buffer[:count])
+    finally:
+        # closing the pipes first lets a child still writing fail instead of block
+        for _, read_fd in children:
+            os.close(read_fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    if any(codes):
+        os.unlink(path)
+        raise OSError(f"{path}: a CSV row worker failed, exit statuses {codes}")

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import photonflux.density as density
 from photonflux import KGrid1D, SpectralAmplitude, photon_number
 
 
@@ -33,3 +36,32 @@ def random_band_state(grid, rng, k0_frac=0.3, sigma_bins=20.0, helicity=+1):
 @pytest.fixture
 def band_state_factory():
     return random_band_state
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to this process while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def fail_forked_csv_rows(monkeypatch):
+    """Make every forked CSV row worker raise; this process still formats its own rows."""
+    parent = os.getpid()
+    real_format_rows = density._format_rows
+
+    def format_rows(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("row worker failure")
+        real_format_rows(*args)
+
+    monkeypatch.setattr(density, "_format_rows", format_rows)

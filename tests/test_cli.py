@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -18,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 import photonflux
 import photonflux.cli as cli_mod
 from photonflux.cli import main
+
+from conftest import fail_forked_csv_rows
 
 GAUSSIAN_SPEC = {"kind": "gaussian", "k0": 600.0, "sigma": 20.0, "helicity": 1}
 
@@ -358,9 +361,13 @@ def test_non_finite_float_flag_exits_2(tmp_path, capsys, args, flag):
          "argument --seed: must be a non-negative integer, got '-1'"),
         (("--grid", "4611686018427387904,1,1", "density", "--state", "g.json"),
          "argument --grid: sample count must be at most 2**24 = 16777216, got 4611686018427387904"),
+        (("circuit", "--netlist", "mz.json", "--samples", "4611686018427387904"),
+         "argument --samples: must be at most 2**24 = 16777216, got 4611686018427387904"),
+        (("localized", "--dim", "1", "--k-max", "1", "--points", "16777217"),
+         "argument --points: must be at most 2**24 = 16777216, got 16777217"),
     ],
     ids=["grid-not-a-number", "grid-not-power-of-two", "n1-not-a-number", "n1-three-parts", "seed-negative",
-         "grid-N-too-large"],
+         "grid-N-too-large", "samples-too-large", "points-too-large"],
 )
 def test_malformed_number_flag_exits_2(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
@@ -517,6 +524,43 @@ def test_density_integral_mismatch_exits_3_after_writing_summary(tmp_path, capsy
     assert "disagrees with photon number" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["density_integral"] == pytest.approx(1.5 * summary["photon_number"], rel=1e-8)
+
+
+def test_failed_csv_worker_exits_2_without_the_csv(tmp_path, capsys, monkeypatch, forks):
+    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
+    fail_forked_csv_rows(monkeypatch)
+    code, out = run(tmp_path, "localized", "--dim", "1", "--k-max", "1.0", "--points", "50001")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'localized.csv'}: ")
+    assert err.count("error: ") == 1
+    assert len(forks) == 1
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_csv_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    runs = {
+        "density": ["--grid", "16384,1.0,1.0", "density", "--state", spec],
+        "dim1": ["localized", "--dim", "1", "--k-max", "1.0", "--points", "50001"],
+        "dim3": ["localized", "--dim", "3", "--k-max", "1.0", "--delta-t", "50", "--points", "50001"],
+    }
+
+    def digests(tag):
+        result = {}
+        for name, argv in runs.items():
+            out = tmp_path / tag / name
+            assert main(["--out", str(out), *argv]) == 0
+            for path in sorted(out.iterdir()):
+                result[name, path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return result
+
+    default = digests("default")
+    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 1)
+    assert digests("one-worker") == default
+    assert len(default) == 7
 
 
 def _force_flux_defect(monkeypatch):

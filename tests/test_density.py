@@ -1,3 +1,7 @@
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -21,12 +25,13 @@ from photonflux import (
     synthesize_fields,
     tail_mass,
 )
+import photonflux.density as density
 from photonflux.cli import _csv_header
 from photonflux.density import _CSV_BLOCK_ROWS, write_density_csv
 from photonflux.errors import DimensionError, DomainError, StepSizeError
 from photonflux.units import NATURAL
 
-from conftest import random_band_state
+from conftest import fail_forked_csv_rows, random_band_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -375,16 +380,101 @@ def test_density_csv_header(tmp_path, grid):
     assert len(lines) == grid.n + 2
 
 
-@pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
-def test_density_csv_rows_across_block_boundaries(tmp_path, rows):
+# each value at every 13th row, so each lands on both sides of every row range
+SPECIAL_VALUES = [-0.0, 5e-324, 2.5e-310, float("nan"), float("inf"), -float("inf"), 1e16, 1e-5]
+# rows of a table split between at most four workers: block edges, worker
+# thresholds (4 blocks each) and range edges
+CSV_ROWS = [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+            4095, 4096, 4097, 8191, 8192, 8193, 12289, 50001]
+
+
+def _csv_columns(rows):
     rng = np.random.default_rng(rows)
     z = rng.normal(size=rows) * np.exp(1j * rng.uniform(0.0, TWO_PI, rows))
     z[::7] = -0.0
     wide = rng.normal(size=rows) * 10.0 ** rng.integers(-320, 300, rows)
+    for i, value in enumerate(SPECIAL_VALUES):
+        wide[i::13] = value
     # strided views of a complex array, as the CLI passes them
-    columns = (np.arange(rows) * 0.1, z.real, z.imag, wide)
+    return np.arange(rows) * 0.1, z.real, z.imag, wide
+
+
+def _csv_text(header, columns):
+    return header + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+
+
+@pytest.mark.parametrize("rows", CSV_ROWS, ids=str)
+def test_density_csv_rows_across_block_boundaries(tmp_path, monkeypatch, forks, rows):
+    columns = _csv_columns(rows)
+    expected = _csv_text("# head\nx,a,b,c\n", columns).encode()
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        path = tmp_path / f"rows{cpus}.csv"
+        write_density_csv(path, "# head\nx,a,b,c\n", columns)
+        assert path.read_bytes() == expected
+        # one worker per usable CPU, each with at least four blocks
+        assert len(forks) == max(1, min(cpus, rows // (4 * _CSV_BLOCK_ROWS))) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_csv_worker_removes_the_file(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    fail_forked_csv_rows(monkeypatch)
     path = tmp_path / "rows.csv"
-    write_density_csv(path, "# head\nx,a,b,c\n", columns)
-    lines = path.read_text().splitlines()
-    assert lines[:2] == ["# head", "x,a,b,c"]
-    assert lines[2:] == [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    with pytest.raises(OSError) as exc:
+        write_density_csv(path, "x\n", (np.arange(50001) * 0.5,))
+    assert str(path) in str(exc.value)
+    assert len(forks) == 3
+    assert not path.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_csv_rows_are_formatted_in_process_without_fork(tmp_path, monkeypatch):
+    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    columns = _csv_columns(50001)
+    path = tmp_path / "rows.csv"
+    write_density_csv(path, "h\n", columns)
+    assert path.read_bytes() == _csv_text("h\n", columns).encode()
+
+
+def test_csv_rows_are_formatted_in_process_while_a_thread_runs(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    columns = _csv_columns(50001)
+    path = tmp_path / "rows.csv"
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        write_density_csv(path, "h\n", columns)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert path.read_bytes() == _csv_text("h\n", columns).encode()
+
+
+def test_fork_warning_raised_as_error_leaves_no_child_behind(tmp_path, monkeypatch):
+    real_fork = os.fork
+
+    def fork_warning_as_python_3_12_does():
+        pid = real_fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_warning_as_python_3_12_does)
+    monkeypatch.setattr(density, "_usable_cpus", lambda: 2)
+    columns = _csv_columns(8192)
+    path = tmp_path / "rows.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_density_csv(path, "h\n", columns)
+    assert path.read_bytes() == _csv_text("h\n", columns).encode()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
