@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Compare the CSV float formatter with Python's repr, value by value.
+
+    python scripts/check_float_repr.py --count N --seed S
+
+Formats N random 64-bit patterns, read as doubles, and every edge class
+(powers of two and of ten with their neighbours, repr's notation switch
+points, integers near 2**53, subnormals, short decimals, signed zeros,
+nan and infinities, each with both signs) through
+``photonflux.floatrepr.csv_block``, compares every line with ``repr``
+and prints the number of mismatches.  The exit status is 1 unless it is 0.
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+from photonflux.floatrepr import csv_block
+
+CHUNK = 1 << 16
+
+
+def edge_values() -> np.ndarray:
+    """Every edge class, both signs; deterministic."""
+    two = np.ldexp(1.0, np.arange(-1074, 1024))
+    ten = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    five = np.array([float(f"5e{e}") for e in range(-324, 309)])
+    switch = np.array([1e-5, 1e-4, 1e15, 1e16, 9999999999999998.0, 2.0**53 - 2, 2.0**53, 2.0**53 + 2])
+    neighbours = np.concatenate([two, ten, switch])
+    neighbours = np.concatenate([neighbours, np.nextafter(neighbours, 0.0), np.nextafter(neighbours, np.inf)])
+    smallest = np.arange(1, 2001) * 5e-324
+    largest = np.nextafter(2.2250738585072014e-308, 0.0) - np.arange(2000) * 5e-324
+    rng = np.random.default_rng(0)
+    subnormal = rng.integers(1, 1 << 52, 20000, dtype=np.uint64).view(np.float64)
+    # 1 to 17 significant digits at every decimal exponent: the shortest
+    # output lengths, where the digits' trailing zeros are dropped
+    digits = rng.integers(1, 18, 20000)
+    mantissa = rng.integers(10 ** (digits - 1), 10**digits, dtype=np.int64)
+    exponent = rng.integers(-340, 310, 20000)
+    short = np.array([float(f"{m}e{e}") for m, e in zip(mantissa.tolist(), exponent.tolist())])
+    special = np.array([0.0, np.nan, np.inf])
+    values = np.concatenate([neighbours, five, smallest, largest, subnormal, short, special])
+    return np.concatenate([values, -values])
+
+
+def random_values(count: int, seed: int):
+    """``count`` random 64-bit patterns as doubles, in chunks."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, CHUNK):
+        yield rng.integers(0, 1 << 64, min(CHUNK, count - start), dtype=np.uint64).view(np.float64)
+
+
+def mismatches(values: np.ndarray) -> list[tuple[str, str]]:
+    """(formatter, repr) for each value the two render differently."""
+    got = csv_block(values.reshape(-1, 1)).decode()
+    expected = "\n".join(map(repr, values.tolist())) + "\n"
+    if got == expected:
+        return []
+    got_lines, expected_lines = got.splitlines(), expected.splitlines()
+    if len(got_lines) != len(expected_lines):
+        return [(f"{len(got_lines)} lines", f"{len(expected_lines)} lines")]
+    return [(g, e) for g, e in zip(got_lines, expected_lines) if g != e]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--count", type=int, default=10**6, help="random 64-bit patterns")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    edges = edge_values()
+    print(f"float repr check: {args.count} random bit patterns (seed {args.seed}) and {len(edges)} edge values")
+    bad = mismatches(edges)
+    for chunk in random_values(args.count, args.seed):
+        bad += mismatches(chunk)
+    for got, expected in bad[:10]:
+        print(f"  formatter {got!r} repr {expected!r}")
+    print(f"mismatches: {len(bad)}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,12 +3,12 @@
 Subcommands: density, localized, circuit, fresnel, momentum.  All output is
 CSV/JSON written under --out; runs are deterministic for a given config and
 seed.  Exit codes: 0 success, 2 input or validation error (including
-malformed JSON and numeric flags that are non-finite, do not parse or
-exceed their ceiling), 3 numerical invariant violated (including a
-non-finite result).  Each ``cmd_*`` raises a :class:`PhotonfluxError` on
-bad input and an :class:`InvariantError` on a broken invariant;
-:func:`main` alone turns the outcome into an exit code and one
-``error: ...`` line on stderr.
+malformed JSON, numeric flags that are non-finite, do not parse or
+exceed their ceiling, and sizes that exhaust memory), 3 numerical
+invariant violated (including a non-finite result).  Each ``cmd_*``
+raises a :class:`PhotonfluxError` on bad input and an
+:class:`InvariantError` on a broken invariant; :func:`main` alone turns
+the outcome into an exit code and one ``error: ...`` line on stderr.
 """
 
 import argparse
@@ -113,13 +113,19 @@ def cmd_density(args) -> None:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     x = state.grid.x
+    density_csv = out / "density.csv"
     dens.write_density_csv(
-        out / "density.csv", _csv_header(t, state.grid.k_max, units, "x,rho,J"), (x, field.rho, current)
+        density_csv, _csv_header(t, state.grid.k_max, units, "x,rho,J"), (x, field.rho, current)
     )
     a, e = fields.a_plus, fields.e_plus
-    dens.write_density_csv(
-        out / "fields.csv", "x,re(A+),im(A+),re(E+),im(E+)\n", (x, a.real, a.imag, e.real, e.imag)
-    )
+    try:
+        dens.write_density_csv(
+            out / "fields.csv", "x,re(A+),im(A+),re(E+),im(E+)\n", (x, a.real, a.imag, e.real, e.imag)
+        )
+    except BaseException:
+        # the two tables are one artifact: without fields.csv, density.csv goes too
+        density_csv.unlink()
+        raise
 
     total = field.total()
     summary = {
@@ -267,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="density/current arrays and conservation summary")
     p.add_argument("--state", required=True, help="state-spec JSON file")
     p.add_argument("--time", type=_finite_float, default=0.0)
-    p.set_defaults(func=cmd_density)
+    p.set_defaults(func=cmd_density, size="--grid or the state's grid")
 
     p = sub.add_parser("localized", help="band-limited localized density closed forms")
     p.add_argument("--dim", type=int, required=True)
@@ -275,24 +281,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-t", type=_finite_float, default=0.0)
     p.add_argument("--points", type=_count, default=4001)
     p.add_argument("--span", type=_finite_float, default=500.0, help="u-range in units of 1/k_max (dim=1)")
-    p.set_defaults(func=cmd_localized)
+    p.set_defaults(func=cmd_localized, size="--points")
 
     p = sub.add_parser("circuit", help="validate and run a netlist")
     p.add_argument("--netlist", required=True)
     p.add_argument("--samples", type=_count, default=0)
     p.add_argument("--paper-convention", action="store_true")
-    p.set_defaults(func=cmd_circuit)
+    p.set_defaults(func=cmd_circuit, size="--samples or the netlist grid")
 
     p = sub.add_parser("fresnel", help="interface coefficients and flux budget")
     p.add_argument("--n1", type=_parse_complex, required=True)
     p.add_argument("--n2", type=_parse_complex, required=True)
     p.add_argument("--paper-convention", action="store_true")
-    p.set_defaults(func=cmd_fresnel)
+    p.set_defaults(func=cmd_fresnel, size=None)
 
     p = sub.add_parser("momentum", help="Abraham/Minkowski momentum report")
     p.add_argument("--state", required=True)
     p.add_argument("--chi", type=_parse_complex, required=True)
-    p.set_defaults(func=cmd_momentum)
+    p.set_defaults(func=cmd_momentum, size="--grid or the state's grid")
 
     return parser
 
@@ -302,6 +308,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+    except MemoryError:
+        # a size that passed its ceiling can still exceed this machine's memory
+        hint = f"; reduce {args.size}" if args.size else ""
+        print(f"error: out of memory in {args.command}{hint}", file=sys.stderr)
+        return EXIT_INPUT
     except OverflowError:
         # a Python float overflow is a non-finite result, like a NaN in the JSON
         print("error: non-finite result: float overflow", file=sys.stderr)

@@ -22,7 +22,7 @@ from .errors import DimensionError, DomainError, StepSizeError
 from .spectral import TWO_PI, KGrid1D, SpectralAmplitude, synthesize_fields
 from .units import NATURAL, UnitsConfig
 
-# rows formatted per block: bounds the Python float lists a write holds
+# rows formatted per block: bounds the arrays a block's formatting holds
 _CSV_BLOCK_ROWS = 1024
 # bytes copied from a worker's pipe into the CSV file per read
 _PIPE_CHUNK = 64 * 1024
@@ -296,14 +296,22 @@ def _csv_workers(rows: int) -> int:
     return max(1, min(_usable_cpus(), rows // (4 * _CSV_BLOCK_ROWS)))
 
 
-def _format_rows(write, row: str, columns, start: int, stop: int) -> None:
-    """Pass rows ``[start, stop)`` to ``write`` as ASCII bytes, one block at a time."""
+def _format_rows(write, columns, start: int, stop: int) -> None:
+    """Pass rows ``[start, stop)`` to ``write`` as CSV bytes, one block at a time.
+
+    Each block is a ``(rows, columns)`` float64 copy, which
+    :func:`floatrepr.csv_block` renders with Python's ``repr`` of every value.
+    """
+    # imported here: building its tables costs milliseconds and about 1 MB of
+    # RSS, which the subcommands that write no CSV need not pay
+    from . import floatrepr
+
     for lo in range(start, stop, _CSV_BLOCK_ROWS):
-        block = [column[lo:min(lo + _CSV_BLOCK_ROWS, stop)].tolist() for column in columns]
-        write("".join([row % values for values in zip(*block)]).encode())
+        hi = min(lo + _CSV_BLOCK_ROWS, stop)
+        write(floatrepr.csv_block(np.stack([column[lo:hi] for column in columns], axis=1)))
 
 
-def _fork_rows(row: str, columns, start: int, stop: int) -> tuple[int, int]:
+def _fork_rows(columns, start: int, stop: int) -> tuple[int, int]:
     """Fork a child that formats rows ``[start, stop)`` into a pipe; returns (pid, read fd).
 
     The child holds its whole range before writing, so a full pipe never
@@ -326,7 +334,7 @@ def _fork_rows(row: str, columns, start: int, stop: int) -> tuple[int, int]:
         try:
             os.close(read_fd)
             chunks = []
-            _format_rows(chunks.append, row, columns, start, stop)
+            _format_rows(chunks.append, columns, start, stop)
             with open(write_fd, "wb") as pipe:
                 pipe.writelines(chunks)
             code = 0
@@ -339,32 +347,40 @@ def _fork_rows(row: str, columns, start: int, stop: int) -> tuple[int, int]:
 def write_density_csv(path, header: str, columns) -> None:
     """CSV export: ``header`` verbatim, then one row per index of the float ``columns``.
 
-    Values are written with shortest round-trip float repr, so identical
-    inputs produce byte-identical files.  Large tables are split into
-    contiguous row ranges, one per usable CPU: forked children format all
-    but the first, which this process formats while they run, and their
-    output is copied into the file in row order.  If a child fails, the
-    file is removed and :class:`OSError` is raised.
+    Every value is written as Python's ``repr`` of it, the shortest string
+    that reads back as the same float, rendered for whole blocks of rows at
+    once by :mod:`photonflux.floatrepr`; identical inputs give byte-identical
+    files.  Large tables are split into contiguous row ranges, one per
+    usable CPU: forked children format all but the first, which this
+    process formats while they run, and their output is copied into the
+    file in row order.  If a child fails, :class:`OSError` is raised.  On
+    any exception raised once the file is opened, the file is removed.
     """
     if len({len(column) for column in columns}) != 1:
         raise ValueError(f"CSV columns differ in length: {[len(column) for column in columns]}")
     rows = len(columns[0])
     workers = _csv_workers(rows)
     bounds = [rows * i // workers for i in range(workers + 1)]
-    row = ",".join(["%r"] * len(columns)) + "\n"
     children = []  # (pid, read fd), in range order
+    opened = False
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_rows(row, columns, start, stop))
+            children.append(_fork_rows(columns, start, stop))
         with open(path, "wb") as fh:
+            opened = True
             fh.write(header.encode())
-            _format_rows(fh.write, row, columns, bounds[0], bounds[1])
+            _format_rows(fh.write, columns, bounds[0], bounds[1])
             # one reused buffer: a new bytes object per read fragmented the
             # heap of a long-running caller and raised its peak RSS
             buffer = memoryview(bytearray(_PIPE_CHUNK))
             for _, read_fd in children:
                 while count := os.readv(read_fd, [buffer]):
                     fh.write(buffer[:count])
+    except BaseException:
+        # a partial table is no artifact, whatever stopped the write
+        if opened:
+            os.unlink(path)
+        raise
     finally:
         # closing the pipes first lets a child still writing fail instead of block
         for _, read_fd in children:

@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -63,5 +64,23 @@ def fail_forked_csv_rows(monkeypatch):
         if os.getpid() != parent:
             raise RuntimeError("row worker failure")
         real_format_rows(*args)
+
+    monkeypatch.setattr(density, "_format_rows", format_rows)
+
+
+def fill_disk_while_formatting(monkeypatch, columns=None):
+    """Make this process's CSV formatting write part of a block, then fail as a full disk does.
+
+    With ``columns``, only tables of that many columns fail; forked row
+    workers format as usual.
+    """
+    parent = os.getpid()
+    real_format_rows = density._format_rows
+
+    def format_rows(write, table, start, stop):
+        if os.getpid() == parent and columns in (None, len(table)):
+            write(b"0.0,")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_format_rows(write, table, start, stop)
 
     monkeypatch.setattr(density, "_format_rows", format_rows)

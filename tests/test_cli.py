@@ -1,4 +1,5 @@
 import copy
+import errno
 import functools
 import hashlib
 import io
@@ -20,7 +21,7 @@ import photonflux
 import photonflux.cli as cli_mod
 from photonflux.cli import main
 
-from conftest import fail_forked_csv_rows
+from conftest import fail_forked_csv_rows, fill_disk_while_formatting
 
 GAUSSIAN_SPEC = {"kind": "gaussian", "k0": 600.0, "sigma": 20.0, "helicity": 1}
 
@@ -313,16 +314,25 @@ def test_si_units_mode_density(tmp_path):
     assert summary["units"] == "si"
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # scipy.integrate serves only the 3D quadrature oracle, so the CLI's
-    # start-up must not pay for importing it
-    probe = "import sys, photonflux.cli; print('scipy.integrate' in sys.modules)"
+def _loaded_by_cli_import(module: str) -> bool:
+    probe = f"import sys, photonflux.cli; print({module!r} in sys.modules)"
     src = Path(photonflux.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # scipy.integrate serves only the 3D quadrature oracle, so the CLI's
+    # start-up must not pay for importing it
+    assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_cli_import_does_not_build_the_float_repr_tables():
+    # only the CSV writer uses them; circuit, fresnel and momentum runs write no CSV
+    assert not _loaded_by_cli_import("photonflux.floatrepr")
 
 
 @pytest.mark.parametrize(
@@ -540,6 +550,20 @@ def test_failed_csv_worker_exits_2_without_the_csv(tmp_path, capsys, monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_density_exits_2_without_artifacts_when_fields_csv_fails(tmp_path, capsys, monkeypatch, forks):
+    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
+    fill_disk_while_formatting(monkeypatch, columns=5)
+    spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    code, out = run(tmp_path, "--grid", "16384,1.0,1.0", "density", "--state", spec)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+    # one worker each for density.csv and fields.csv
+    assert len(forks) == 2
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_csv_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
     runs = {
@@ -561,6 +585,18 @@ def test_csv_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 1)
     assert digests("one-worker") == default
     assert len(default) == 7
+
+
+def _out_of_memory(module, name, size):
+    """A patch that makes ``module.name`` raise MemoryError; it returns the size the error should name."""
+    def patch(monkeypatch):
+        def allocate(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(module, name, allocate)
+        return size
+
+    return patch
 
 
 def _force_flux_defect(monkeypatch):
@@ -587,14 +623,21 @@ def _force_flux_defect(monkeypatch):
         (("fresnel", "--n1", "0,1", "--n2", "1.5"), 2, None),
         (("fresnel", "--n1", "-1", "--n2", "1.5"), 2, None),
         (("momentum", "--state", "{bad}", "--chi", "1.25"), 2, None),
+        (("density", "--state", "{gaussian}"), 2, _out_of_memory(cli_mod.dens, "synthesize_fields", "--grid")),
+        (("localized", "--dim", "1", "--k-max", "1.0"), 2,
+         _out_of_memory(cli_mod.dens, "localized_density_1d", "--points")),
+        (("circuit", "--netlist", "{mz}", "--samples", "100"), 2,
+         _out_of_memory(cli_mod.circ, "sample_outcomes", "--samples")),
+        (("momentum", "--state", "{gaussian}", "--chi", "1.25"), 2,
+         _out_of_memory(cli_mod.optics, "momentum_report", "--grid")),
     ],
     ids=["density-malformed", "density-wrap", "localized-dim", "localized-delta-t", "localized-window",
          "circuit-violations", "circuit-samples", "circuit-missing-file", "fresnel-non-finite",
-         "fresnel-defect", "fresnel-imaginary-incident", "fresnel-negative-incident", "momentum-malformed"],
+         "fresnel-defect", "fresnel-imaginary-incident", "fresnel-negative-incident", "momentum-malformed",
+         "density-out-of-memory", "localized-out-of-memory", "circuit-out-of-memory", "momentum-out-of-memory"],
 )
 def test_every_error_path_prints_one_error_line(tmp_path, capsys, monkeypatch, args, code, patch):
-    if patch:
-        patch(monkeypatch)
+    size = patch(monkeypatch) if patch else None
     unwired = mz_netlist(0.3)
     unwired["elements"][0]["in"] = ["src"]
     paths = {
@@ -603,12 +646,15 @@ def test_every_error_path_prints_one_error_line(tmp_path, capsys, monkeypatch, a
         "unwired": write_json(tmp_path / "unwired.json", unwired),
         "mz": write_json(tmp_path / "mz.json", mz_netlist(0.3)),
         "absent": str(tmp_path / "absent.json"),
+        "gaussian": write_json(tmp_path / "gaussian.json", GAUSSIAN_SPEC),
     }
     got, out = run(tmp_path, *(a.format(**paths) for a in args))
     assert got == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("error: ") == 1
+    if size:
+        assert err.startswith(f"error: out of memory in {args[0]}; reduce {size}")
     if code == 2:
         assert not out.exists()
 

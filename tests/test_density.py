@@ -1,3 +1,4 @@
+import errno
 import os
 import threading
 import warnings
@@ -31,7 +32,7 @@ from photonflux.density import _CSV_BLOCK_ROWS, write_density_csv
 from photonflux.errors import DimensionError, DomainError, StepSizeError
 from photonflux.units import NATURAL
 
-from conftest import fail_forked_csv_rows, random_band_state
+from conftest import fail_forked_csv_rows, fill_disk_while_formatting, random_band_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -427,6 +428,20 @@ def test_failed_csv_worker_removes_the_file(tmp_path, monkeypatch, forks):
         write_density_csv(path, "x\n", (np.arange(50001) * 0.5,))
     assert str(path) in str(exc.value)
     assert len(forks) == 3
+    assert not path.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [100, 50001], ids=str)
+def test_failed_csv_write_removes_the_file(tmp_path, monkeypatch, forks, rows):
+    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    fill_disk_while_formatting(monkeypatch)
+    path = tmp_path / "rows.csv"
+    with pytest.raises(OSError) as exc:
+        write_density_csv(path, "x\n", (np.arange(rows) * 0.5,))
+    assert exc.value.errno == errno.ENOSPC
+    assert len(forks) == max(1, min(4, rows // (4 * _CSV_BLOCK_ROWS))) - 1
     assert not path.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -23,6 +23,11 @@ SRC = Path(photonflux.__file__).resolve().parent.parent
             ["--points", "3", "--samples", "100"],
             "     phi       bright         dark        cos^2  bright counts",
         ),
+        (
+            "check_float_repr.py",
+            ["--count", "1000", "--seed", "3"],
+            "float repr check: 1000 random bit patterns (seed 3) and 105700 edge values",
+        ),
     ],
 )
 def test_script_runs_and_prints_header(script, args, header):
