@@ -2,6 +2,7 @@
 """Compare the CSV float formatter with Python's repr, value by value.
 
     python scripts/check_float_repr.py --count N --seed S
+    python scripts/check_float_repr.py --count N --seed S --digest
 
 Formats N random 64-bit patterns, read as doubles, and every edge class
 (powers of two and of ten with their neighbours, repr's notation switch
@@ -9,9 +10,14 @@ points, integers near 2**53, subnormals, short decimals, signed zeros,
 nan and infinities, each with both signs) through
 ``photonflux.floatrepr.csv_block``, compares every line with ``repr``
 and prints the number of mismatches.  The exit status is 1 unless it is 0.
+
+With ``--digest`` it prints only the sha256 of ``repr``'s lines for the N
+random patterns, which a test can compare with the formatter's digest
+instead of calling ``repr`` a million times.
 """
 
 import argparse
+import hashlib
 import sys
 
 import numpy as np
@@ -45,16 +51,25 @@ def edge_values() -> np.ndarray:
 
 
 def random_values(count: int, seed: int):
-    """``count`` random 64-bit patterns as doubles, in chunks."""
-    rng = np.random.default_rng(seed)
+    """``count`` random 64-bit patterns as doubles, in chunks.
+
+    The patterns are PCG64's raw output, whose stream does not depend on the
+    numpy version.
+    """
+    bits = np.random.default_rng(seed).bit_generator
     for start in range(0, count, CHUNK):
-        yield rng.integers(0, 1 << 64, min(CHUNK, count - start), dtype=np.uint64).view(np.float64)
+        yield bits.random_raw(min(CHUNK, count - start)).view(np.float64)
+
+
+def repr_lines(values: np.ndarray) -> str:
+    """One ``repr`` per value, each ending in a newline: what csv_block must produce."""
+    return "\n".join(map(repr, values.tolist())) + "\n"
 
 
 def mismatches(values: np.ndarray) -> list[tuple[str, str]]:
     """(formatter, repr) for each value the two render differently."""
     got = csv_block(values.reshape(-1, 1)).decode()
-    expected = "\n".join(map(repr, values.tolist())) + "\n"
+    expected = repr_lines(values)
     if got == expected:
         return []
     got_lines, expected_lines = got.splitlines(), expected.splitlines()
@@ -67,7 +82,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--count", type=int, default=10**6, help="random 64-bit patterns")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--digest", action="store_true", help="print the sha256 of repr's lines and exit")
     args = parser.parse_args()
+
+    if args.digest:
+        digest = hashlib.sha256()
+        for chunk in random_values(args.count, args.seed):
+            digest.update(repr_lines(chunk).encode())
+        print(digest.hexdigest())
+        return 0
 
     edges = edge_values()
     print(f"float repr check: {args.count} random bit patterns (seed {args.seed}) and {len(edges)} edge values")

@@ -12,6 +12,7 @@ number in, number out and what was absorbed.
 import heapq
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,9 @@ class Netlist:
     """Feed-forward wiring of one source to detectors.
 
     ``vacuum_ports`` name the empty inputs (a beam splitter's unused arm);
-    they behave like produced ports carrying zero amplitude.
+    they behave like produced ports carrying zero amplitude.  ``order`` is
+    the element order of :func:`_topological_order`, sorted on first use and
+    cached: the netlist is frozen, so every later read gets the same order.
     """
 
     elements: tuple
@@ -60,6 +63,13 @@ class Netlist:
     source_state: SpectralAmplitude
     detectors: tuple
     vacuum_ports: tuple = ()
+
+    @cached_property
+    def order(self):
+        """Element ids in execution order, or None if the wiring has a cycle."""
+        order = _topological_order(self)
+        # a tuple: every reader shares the cached value
+        return None if order is None else tuple(order)
 
 
 @dataclass(frozen=True)
@@ -162,7 +172,7 @@ def validate(netlist: Netlist) -> list:
     for port in produced - consumed:
         violations.append(f"port {port!r} is produced but never consumed")
 
-    if _topological_order(netlist) is None:
+    if netlist.order is None:
         violations.append("wiring contains a cycle")
     return violations
 
@@ -172,7 +182,8 @@ def _topological_order(netlist: Netlist):
 
     The ready set is a heap keyed by element id: the smallest ready id
     always goes next, which fixes the ledger row order, and the sort takes
-    O(E log E) for E elements.
+    O(E log E) for E elements.  Callers read it as ``Netlist.order``, which
+    runs this once per netlist however often it is validated and run.
     """
     producer = {netlist.source_port: None}
     for el in netlist.elements:
@@ -224,7 +235,6 @@ def run_circuit(
     if abs(n_src - 1.0) > 1e-9:
         raise NetlistError(f"source photon number {n_src:.12g} is not 1")
 
-    order = _topological_order(netlist)
     by_id = {el.id: el for el in netlist.elements}
     grid = netlist.source_state.grid
     omega = units.c * grid.k
@@ -238,7 +248,7 @@ def run_circuit(
     rows = []
     absorbing_rows = []
 
-    for eid in order:
+    for eid in netlist.order:
         el = by_id[eid]
         ins = [live.pop(p, empty) for p in el.inputs]
         n_in = sum(n for _, _, n in ins)

@@ -174,13 +174,17 @@ def cmd_localized(args) -> None:
             "shell_mass_fraction": dens.shell_mass_fraction(coords, rho_phys, shell, window),
         }
     summary = {"dim": args.dim, "k_max": k_max, "window_halfwidth": window, "units": units.mode, **measures}
+    columns = {"u": coords, "re(rho+)": rho_plus.real, "im(rho+)": rho_plus.imag, "rho": rho_phys}
+    # a NaN or infinity is reported instead of written, so no artifact precedes this check
+    for name, values in (columns | {"window_halfwidth": window} | measures).items():
+        if not np.isfinite(values).all():
+            raise InvariantError(f"non-finite result: {name}")
 
     # the measures above can reject the window, so --out is created only after them
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     dens.write_density_csv(
-        out / "localized.csv", _csv_header(dt, k_max, units, "u,re(rho+),im(rho+),rho"),
-        (coords, rho_plus.real, rho_plus.imag, rho_phys),
+        out / "localized.csv", _csv_header(dt, k_max, units, ",".join(columns)), tuple(columns.values())
     )
     _write_json(out / "localized_summary.json", summary)
 

@@ -142,14 +142,16 @@ def localized_density_1d(u, k_max: float, area: float = 1.0):
     if k_max <= 0:
         raise DomainError("k_max must be positive")
     u_arr = np.asarray(u, dtype=float)
-    theta = k_max * u_arr
+    theta = k_max * np.atleast_1d(u_arr)
     small = np.abs(theta) < 1e-6
     theta_safe = np.where(small, 1.0, theta)
-    closed = (np.exp(1j * theta_safe) - 1.0) / (1j * theta_safe)
-    series = 1.0 + 1j * theta / 2.0 - theta**2 / 6.0
-    out = np.where(small, series, closed) * k_max / (TWO_PI * area)
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return complex(out)
+    out = (np.exp(1j * theta_safe) - 1.0) / (1j * theta_safe)
+    # the series is evaluated only where it replaces the closed form
+    theta = theta[small]
+    out[small] = 1.0 + 1j * theta / 2.0 - theta**2 / 6.0
+    out = out * k_max / (TWO_PI * area)
+    if u_arr.ndim == 0:
+        return complex(out[0])
     return out
 
 
@@ -201,16 +203,22 @@ def localized_density_3d(r: float, dt: float, k_max: float, c: float = 1.0) -> c
 
 
 def _incomplete_first_moment(a: np.ndarray, k_max: float) -> np.ndarray:
-    """J(a) = integral_0^k_max k exp(i a k) dk, vectorized with small-|a| series."""
+    """J(a) = integral_0^k_max k exp(i a k) dk, vectorized with small-|a| series.
+
+    The series is evaluated only at the entries with |a k_max| < 1e-3 and
+    written over the closed form there.
+    """
     a = np.asarray(a, dtype=float)
     z = a * k_max
     small = np.abs(z) < 1e-3
     a_safe = np.where(small, 1.0, a)
-    closed = np.exp(1j * z) * (-1j * k_max / a_safe + 1.0 / a_safe**2) - 1.0 / a_safe**2
-    series = k_max**2 * (
+    inv_a2 = 1.0 / a_safe**2
+    out = np.exp(1j * z) * (-1j * k_max / a_safe + inv_a2) - inv_a2
+    z = z[small]
+    out[small] = k_max**2 * (
         0.5 + 1j * z / 3.0 - z**2 / 8.0 - 1j * z**3 / 30.0 + z**4 / 144.0
     )
-    return np.where(small, series, closed)
+    return out
 
 
 def localized_density_3d_profile(r, dt: float, k_max: float, c: float = 1.0):

@@ -184,6 +184,42 @@ def test_circuit_invalid_netlist_exits_2(tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_circuit_sorts_the_netlist_once(tmp_path, monkeypatch):
+    sorts = _counting(monkeypatch, cli_mod.circ, "_topological_order")
+    validations = _counting(monkeypatch, cli_mod.circ, "validate")
+    netlist = write_json(tmp_path / "mz.json", mz_netlist(0.3))
+    code, out = run(tmp_path, "circuit", "--netlist", netlist, "--samples", "10")
+    assert code == 0
+    assert (out / "circuit_result.json").exists()
+    assert len(validations) == 2  # cmd_circuit and run_circuit each validate
+    assert len(sorts) == 1
+
+
+def test_circuit_cycle_is_reported(tmp_path, capsys):
+    obj = mz_netlist(0.3)
+    # bs2's dark output feeds bs1 in place of the vacuum arm
+    obj["elements"][0]["in"] = ["src", "d_dark"]
+    obj["detectors"] = ["d_bright"]
+    obj["vacuum"] = []
+    netlist = write_json(tmp_path / "cycle.json", obj)
+    code, out = run(tmp_path, "circuit", "--netlist", netlist)
+    assert code == 2
+    assert capsys.readouterr().err == "error: violation: wiring contains a cycle\n"
+    assert not out.exists()
+
+
 def test_circuit_negative_samples_exits_2(tmp_path, capsys):
     netlist = write_json(tmp_path / "mz.json", mz_netlist(0.3))
     code, out = run(tmp_path, "circuit", "--netlist", netlist, "--samples", "-5")
@@ -630,11 +666,14 @@ def _force_flux_defect(monkeypatch):
          _out_of_memory(cli_mod.circ, "sample_outcomes", "--samples")),
         (("momentum", "--state", "{gaussian}", "--chi", "1.25"), 2,
          _out_of_memory(cli_mod.optics, "momentum_report", "--grid")),
+        (("localized", "--dim", "3", "--k-max", "1", "--delta-t", "1e-320", "--points", "100"), 3, None),
+        (("localized", "--dim", "1", "--k-max", "1", "--span", "1e308", "--points", "100"), 3, None),
     ],
     ids=["density-malformed", "density-wrap", "localized-dim", "localized-delta-t", "localized-window",
          "circuit-violations", "circuit-samples", "circuit-missing-file", "fresnel-non-finite",
          "fresnel-defect", "fresnel-imaginary-incident", "fresnel-negative-incident", "momentum-malformed",
-         "density-out-of-memory", "localized-out-of-memory", "circuit-out-of-memory", "momentum-out-of-memory"],
+         "density-out-of-memory", "localized-out-of-memory", "circuit-out-of-memory", "momentum-out-of-memory",
+         "localized-3d-non-finite", "localized-1d-non-finite"],
 )
 def test_every_error_path_prints_one_error_line(tmp_path, capsys, monkeypatch, args, code, patch):
     size = patch(monkeypatch) if patch else None
@@ -655,7 +694,7 @@ def test_every_error_path_prints_one_error_line(tmp_path, capsys, monkeypatch, a
     assert err.count("error: ") == 1
     if size:
         assert err.startswith(f"error: out of memory in {args[0]}; reduce {size}")
-    if code == 2:
+    if code == 2 or args[0] == "localized":
         assert not out.exists()
 
 
@@ -674,12 +713,15 @@ def test_localized_flags_never_crash(dim, k_max, span, delta_t, points):
     argv = ["localized", f"--dim={dim}", f"--k-max={k_max!r}", f"--span={span!r}",
             f"--delta-t={delta_t!r}", f"--points={points}"]
     with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
         try:
-            code = main(["--out", str(Path(tmp) / "out"), *argv])
+            code = main(["--out", str(out), *argv])
         except SystemExit as exc:
             assert exc.code == 2
         else:
             assert code in (0, 2, 3)
+            # a failed localized run writes no artifact, NaN rows included
+            assert code == 0 or not out.exists()
 
 
 json_values = st.recursive(

@@ -366,6 +366,109 @@ def test_rho_3d_principal_value_tail_slope():
     assert slope == pytest.approx(-1.0, abs=0.1)
 
 
+# ---- closed forms: the series only where it is used ------------------------------------------
+# The two-branch formulations below evaluate the series and the closed form at
+# every point and pick with np.where.  The library evaluates the series only at
+# the points that take it; its bytes must equal these references.
+
+def where_rho_plus_1d(u, k_max, area=1.0):
+    u_arr = np.asarray(u, dtype=float)
+    theta = k_max * u_arr
+    small = np.abs(theta) < 1e-6
+    theta_safe = np.where(small, 1.0, theta)
+    closed = (np.exp(1j * theta_safe) - 1.0) / (1j * theta_safe)
+    series = 1.0 + 1j * theta / 2.0 - theta**2 / 6.0
+    out = np.where(small, series, closed) * k_max / (TWO_PI * area)
+    if np.isscalar(u) or u_arr.ndim == 0:
+        return complex(out)
+    return out
+
+
+def where_moment(a, k_max):
+    z = a * k_max
+    small = np.abs(z) < 1e-3
+    a_safe = np.where(small, 1.0, a)
+    closed = np.exp(1j * z) * (-1j * k_max / a_safe + 1.0 / a_safe**2) - 1.0 / a_safe**2
+    series = k_max**2 * (
+        0.5 + 1j * z / 3.0 - z**2 / 8.0 - 1j * z**3 / 30.0 + z**4 / 144.0
+    )
+    return np.where(small, series, closed)
+
+
+def where_rho_plus_3d(r, dt, k_max, c=1.0):
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    s = c * dt
+    integral = (where_moment(r_arr - s, k_max) - where_moment(-(r_arr + s), k_max)) / 2j
+    out = integral / (4.0 * np.pi**2 * r_arr)
+    if np.isscalar(r) or np.asarray(r).ndim == 0:
+        return complex(out[0])
+    return out
+
+
+def _same_bytes(got, want):
+    if isinstance(want, complex):
+        assert type(got) is complex
+        got, want = np.complex128(got), np.complex128(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _series_points_1d(k_max):
+    # |k_max u| < 1e-6 takes the series: zero, signed zero, subnormals, and
+    # both sides of the threshold
+    edge = 1e-6 / k_max
+    return np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, edge / 3.0, -edge / 2.0,
+                     np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0), edge, -edge,
+                     np.nextafter(edge, 1.0)])
+
+
+@pytest.mark.parametrize("k_max", [1e-3, 0.37, 1.0, 7.0, 93.5])
+def test_rho_plus_1d_equals_two_branch_reference(k_max):
+    rng = np.random.default_rng(int(k_max * 1000))
+    half = 500.0 / k_max
+    cases = [
+        np.linspace(-half, half, 50001),        # the CLI's grid: u = 0 exactly in the middle
+        np.linspace(-half, half, 50000),        # no point takes the series
+        rng.uniform(-half, half, 999),
+        np.concatenate([_series_points_1d(k_max), rng.uniform(-half, half, 40)]),
+        _series_points_1d(k_max),               # mostly series points
+        rng.uniform(-half, half, (7, 11)),
+        np.zeros((2, 3)),
+        np.array([]),
+    ]
+    for u in cases:
+        _same_bytes(localized_density_1d(u, k_max, 1.7), where_rho_plus_1d(u, k_max, 1.7))
+    for u in (0, 0.0, -0.0, 1e-12 / k_max, 3.7 / k_max, np.float64(0.0), np.float64(2.5),
+              np.array(0.0), np.array(1e-9 / k_max), np.array(41.0)):
+        _same_bytes(localized_density_1d(u, k_max), where_rho_plus_1d(u, k_max))
+
+
+@pytest.mark.parametrize("k_max", [0.05, 1.0, 3.3, 64.0])
+@pytest.mark.parametrize("dt", [1e-9, 0.8, 50.0])
+def test_rho_plus_3d_profile_equals_two_branch_reference(k_max, dt):
+    rng = np.random.default_rng(int(k_max * 100 + dt))
+    c = 0.9
+    shell = c * dt
+    edge = 1e-3 / k_max
+    # r - c dt within 1e-3 / k_max of zero takes the series
+    near = shell + np.array([0.0, edge / 4.0, -edge / 4.0, np.nextafter(edge, 0.0), edge,
+                             -np.nextafter(edge, 0.0), 1e-15, -1e-15])
+    near = near[near > 0.0]
+    cases = [
+        np.linspace(2.0 * shell / 50001, 2.0 * shell, 50001),
+        np.concatenate([near, rng.uniform(shell / 10.0, 3.0 * shell, 40)]),
+        near,
+        shell + edge * (2.0 + rng.uniform(0.0, 100.0, 999)),  # no point takes the series
+        rng.uniform(shell + 2.0 * edge, 4.0 * shell + 10.0, (5, 9)),
+    ]
+    for r in cases:
+        _same_bytes(localized_density_3d_profile(r, dt, k_max, c), where_rho_plus_3d(r, dt, k_max, c))
+    a = np.concatenate([near - shell, rng.uniform(-3.0, 3.0, 50)])
+    _same_bytes(density._incomplete_first_moment(a, k_max), where_moment(a, k_max))
+    for r in (shell, float(near[-1]), shell + 7.0, np.float64(shell), np.array(shell + 2.0)):
+        _same_bytes(localized_density_3d_profile(r, dt, k_max, c), where_rho_plus_3d(r, dt, k_max, c))
+
+
 # ---- csv export ---------------------------------------------------------------------------
 
 def test_density_csv_header(tmp_path, grid):

@@ -1,5 +1,6 @@
 """The block float formatter renders every double exactly as Python's repr does."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -8,6 +9,9 @@ import numpy as np
 from photonflux.floatrepr import csv_block
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_float_repr.py"
+# sha256 of repr's lines for the 10**6 patterns of random_values(10**6, seed=1018), from
+#   python scripts/check_float_repr.py --count 1000000 --seed 1018 --digest
+RANDOM_REPR_SHA256 = "29127fe452ddc0570e636fb8cd328ed0a1d83115883b1ec4bc7a28cb6e0949fa"
 
 
 def _check_script():
@@ -20,8 +24,14 @@ def _check_script():
 def test_csv_block_equals_repr_on_edge_classes_and_random_bit_patterns():
     check = _check_script()
     assert check.mismatches(check.edge_values()) == []
+    digest = hashlib.sha256()
     for chunk in check.random_values(10**6, seed=1018):
-        assert check.mismatches(chunk) == []
+        digest.update(csv_block(chunk.reshape(-1, 1)))
+    if digest.hexdigest() != RANDOM_REPR_SHA256:
+        # repr runs only on failure, to name the first mismatch
+        for chunk in check.random_values(10**6, seed=1018):
+            assert check.mismatches(chunk) == []
+        assert digest.hexdigest() == RANDOM_REPR_SHA256, "formatter equals repr: the recorded digest is stale"
 
 
 def test_csv_block_rows_and_columns():
