@@ -9,6 +9,7 @@ probability at a port is its photon number.  A per-element ledger tracks
 number in, number out and what was absorbed.
 """
 
+import cmath
 import heapq
 import json
 from dataclasses import dataclass
@@ -54,8 +55,10 @@ class Netlist:
 
     ``vacuum_ports`` name the empty inputs (a beam splitter's unused arm);
     they behave like produced ports carrying zero amplitude.  ``order`` is
-    the element order of :func:`_topological_order`, sorted on first use and
-    cached: the netlist is frozen, so every later read gets the same order.
+    the element order of :func:`_topological_order` and ``violations`` the
+    wiring violations of :func:`_violations`; each is computed on first use
+    and cached: the netlist is frozen, so every later read gets the same
+    value.
     """
 
     elements: tuple
@@ -70,6 +73,11 @@ class Netlist:
         order = _topological_order(self)
         # a tuple: every reader shares the cached value
         return None if order is None else tuple(order)
+
+    @cached_property
+    def violations(self) -> tuple:
+        """Wiring violations in a fixed order; empty means the netlist is runnable."""
+        return tuple(_violations(self))
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,16 @@ class Ledger:
 
 
 def validate(netlist: Netlist) -> list:
-    """Collect wiring violations; an empty list means the netlist is runnable."""
+    """Wiring violations as a fresh list; an empty list means the netlist is runnable.
+
+    The violations are ``Netlist.violations``, computed once per netlist, so
+    a second ``validate`` of the same netlist only copies them.
+    """
+    return list(netlist.violations)
+
+
+def _violations(netlist: Netlist) -> list:
+    """Every wiring violation of ``netlist``, in the order they are checked."""
     violations = []
     produced = {netlist.source_port, *netlist.vacuum_ports}
     if netlist.source_port in netlist.vacuum_ports:
@@ -222,7 +239,12 @@ def run_circuit(
 
     Elements are applied in topological order, each by contracting its
     ``transfer`` with its input spectra (per bin for a medium segment, which
-    also adds its group delay).  The returned ledger satisfies number_in =
+    also adds its group delay).  An element fed only by vacuum ports whose
+    factors are all finite scalars does no array work: zero amplitude times
+    a finite factor is zero, so its outputs stay vacuum and its ledger row
+    is exactly (0.0, 0.0, 0.0).  A medium segment (per-bin factors) or a
+    non-finite factor is contracted as usual, so a NaN on a vacuum arm
+    still reaches the ledger.  The returned ledger satisfies number_in =
     number_out + absorbed per element (exactly, by construction of the
     rows).  With ``paper_convention`` interfaces use the non-conserving
     literal Fresnel pair, so end-to-end conservation is expected to fail by
@@ -251,14 +273,18 @@ def run_circuit(
     for eid in netlist.order:
         el = by_id[eid]
         ins = [live.pop(p, empty) for p in el.inputs]
-        n_in = sum(n for _, _, n in ins)
         spec = el.spec
+        transfer = spec.transfer(omega, units, paper_convention)
+        if all(entry is empty for entry in ins) and _finite_scalars(transfer):
+            rows.append(LedgerRow(eid, 0.0, 0.0, 0.0))
+            continue
+        n_in = sum(n for _, _, n in ins)
         arrays = [arr for arr, _, _ in ins]
         delay = _merge_delay(ins)
         medium = isinstance(spec, MediumSegment)
         if medium:
             delay += spec.group_delay(arrays[0], units)
-        outs = [_contract(row, arrays) for row in spec.transfer(omega, units, paper_convention)]
+        outs = [_contract(row, arrays) for row in transfer]
         numbers = [photon_number_of(arr, grid.dk) for arr in outs]
         n_out = sum(numbers)
         rows.append(LedgerRow(eid, n_in, n_out, n_in - n_out))
@@ -285,6 +311,11 @@ def run_circuit(
     # it silently balanced into "absorbed".
     pulse = PulseState(ports=ports, absorbed=float(sum(absorbing_rows)))
     return pulse, Ledger(rows=tuple(rows))
+
+
+def _finite_scalars(transfer) -> bool:
+    """True if every factor of ``transfer`` is a finite number, not a per-bin array."""
+    return all(isinstance(f, complex | float) and cmath.isfinite(f) for row in transfer for f in row)
 
 
 def _contract(row, arrays):

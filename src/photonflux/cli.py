@@ -14,7 +14,9 @@ the outcome into an exit code and one ``error: ...`` line on stderr.
 import argparse
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +75,59 @@ def _parse_complex(text: str) -> complex:
     return complex(*(_finite_float(p) for p in parts))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+# one circuit ledger row, and the empty top-level list the rows replace, as json.dumps(sort_keys=True, indent=2)
+# lays them out; a string holds no raw newline, so only a top-level key starts a line with two spaces
+_LEDGER_ROW = '\n    {\n      "absorbed": %s,\n      "element": %s,\n      "number_in": %s,\n      "number_out": %s\n    }'
+_LEDGER_SLOT = '\n  "ledger": []'
+
+
+def _write_json(path: Path, payload: dict, ledger=None) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
+
+    ``ledger``, if given, holds the ``LedgerRow``s of the payload's
+    ``"ledger"`` list.  The rest of the payload is dumped with an empty list
+    there, and the rows are spliced in, one template per row, with
+    ``float.__repr__`` for the numbers and json's own escaping for the id:
+    the same bytes, without a dict per row or the pure-Python encoder's
+    walk over them.  A non-finite row value falls back to the full
+    ``json.dumps``, so a NaN or infinity anywhere raises the same
+    :class:`InvariantError`, before the file is opened.
+    """
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = _dumps(payload) if ledger is None else _dumps_with_ledger(payload, ledger)
     except ValueError as exc:
         raise InvariantError(f"{path.name}: {exc}") from None
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _dumps_with_ledger(payload: dict, rows) -> str:
+    """``_dumps`` of ``payload`` with ``rows`` as its ``"ledger"`` list of objects."""
+    items = _ledger_items(rows)
+    if items is None:
+        ledger = [{"element": r.element_id, "number_in": r.number_in, "number_out": r.number_out,
+                   "absorbed": r.absorbed} for r in rows]
+        return _dumps({**payload, "ledger": ledger})
+    text = _dumps({**payload, "ledger": []})
+    if not rows:
+        return text
+    return text.replace(_LEDGER_SLOT, f'\n  "ledger": [{items}\n  ]', 1)
+
+
+def _ledger_items(rows) -> str | None:
+    """The rows laid out by ``_LEDGER_ROW``; None for a value json.dumps must handle itself."""
+    try:
+        if all(map(math.isfinite, [v for r in rows for v in (r.number_in, r.number_out, r.absorbed)])):
+            return ",".join([_LEDGER_ROW % (float.__repr__(r.absorbed), encode_basestring_ascii(r.element_id),
+                                            float.__repr__(r.number_in), float.__repr__(r.number_out))
+                             for r in rows])
+    except TypeError:
+        pass  # a value that is not a float, or an id that is not a str
+    return None
 
 
 def _csv_header(t: float, k_max: float, units, columns: str) -> str:
@@ -207,18 +255,13 @@ def cmd_circuit(args) -> None:
         "conservation_sum": conservation,
         "conservation_defect": conservation - 1.0,
         "convention": "paper" if args.paper_convention else "default",
-        "ledger": [
-            {"element": row.element_id, "number_in": row.number_in, "number_out": row.number_out,
-             "absorbed": row.absorbed}
-            for row in ledger.rows
-        ],
         "units": args.units.mode,
     }
     if args.samples:
         result["samples"] = circ.sample_outcomes(pulse, args.seed, args.samples)
         result["seed"] = args.seed
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_json(args.out / "circuit_result.json", result)
+    _write_json(args.out / "circuit_result.json", result, ledger=ledger.rows)
     if not args.paper_convention and abs(conservation - 1.0) > circ.CONSERVATION_TOL:
         raise InvariantError(f"conservation violated: detectors + absorbed = {conservation!r}")
 
@@ -311,7 +354,10 @@ def main(argv=None) -> int:
     """Run one subcommand; the only place an outcome becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # every non-finite result is reported by an explicit check, as one error line,
+        # so numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            args.func(args)
     except MemoryError:
         # a size that passed its ceiling can still exceed this machine's memory
         hint = f"; reduce {args.size}" if args.size else ""

@@ -31,6 +31,7 @@ from photonflux import (
     apply_mode_phase,
     validate,
 )
+import photonflux.circuit as circuit_mod
 from photonflux.circuit import PortRecord, PulseState, _topological_order, state_from_spec
 from photonflux.errors import InvariantError, NetlistError, PortError
 from photonflux.optics import DielectricInterface, fresnel_interface
@@ -497,6 +498,42 @@ def test_run_circuit_matches_isinstance_reference_bitwise(paper_convention):
                 assert np.array_equal(rec.spectral.c, arr / np.sqrt(n))
             else:
                 assert rec.spectral is None
+
+
+def reached_from_source(netlist):
+    """Ids of the elements a walk from the source port reaches, input to outputs."""
+    consumer = {port: el for el in netlist.elements for port in el.inputs}
+    reached, ports = {}, [netlist.source_port]
+    while ports:
+        el = consumer.get(ports.pop())
+        if el is not None and el.id not in reached:
+            reached[el.id] = el
+            ports.extend(el.outputs)
+    return reached
+
+
+def test_vacuum_only_elements_do_no_array_work(monkeypatch):
+    mesh = clements_mesh()
+    contracted = []
+    real = circuit_mod._contract
+
+    def counted(row, arrays):
+        contracted.append(row)
+        return real(row, arrays)
+
+    monkeypatch.setattr(circuit_mod, "_contract", counted)
+    _, ledger = run_circuit(mesh)
+    reached = reached_from_source(mesh)
+    # the lower-left triangle of the mesh sees only vacuum: 450 of the 1056 elements
+    assert len(mesh.elements) - len(reached) == 450
+    # one contraction per output of every reached element, none for the rest
+    assert len(contracted) == sum(len(el.outputs) for el in reached.values())
+    for row in ledger.rows:
+        if row.element_id in reached:
+            assert row.number_in > 0.0
+        else:
+            numbers = (row.number_in, row.number_out, row.absorbed)
+            assert [repr(float(x)) for x in numbers] == ["0.0", "0.0", "0.0"]
 
 
 def test_run_is_deterministic():

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
@@ -205,6 +206,38 @@ def test_circuit_sorts_the_netlist_once(tmp_path, monkeypatch):
     assert (out / "circuit_result.json").exists()
     assert len(validations) == 2  # cmd_circuit and run_circuit each validate
     assert len(sorts) == 1
+
+
+def test_circuit_computes_violations_once(tmp_path, monkeypatch):
+    computed = _counting(monkeypatch, cli_mod.circ, "_violations")
+    validations = _counting(monkeypatch, cli_mod.circ, "validate")
+    netlist = write_json(tmp_path / "mz.json", mz_netlist(0.3))
+    code, out = run(tmp_path, "circuit", "--netlist", netlist, "--samples", "10")
+    assert code == 0
+    assert (out / "circuit_result.json").exists()
+    assert len(validations) == 2  # cmd_circuit and run_circuit each validate
+    assert len(computed) == 1
+
+
+def test_circuit_nan_on_a_vacuum_arm_exits_3_without_writing_json(tmp_path, capsys):
+    # t = 2 n_in / (n_in + n_out) underflows to 0 and sqrt(n_out / n_in) overflows: t * sqrt is NaN
+    obj = {
+        "grid": {"N": 64, "dk": 1.0, "area": 1.0},
+        "elements": [
+            {"id": "ps", "kind": "phase_shifter", "params": {"phi": 0.5}, "in": ["src"], "out": ["d"]},
+            {"id": "if", "kind": "interface", "params": {"n_in": 1e-300, "n_out": 1e300},
+             "in": ["vac"], "out": ["t", "r"]},
+        ],
+        "sources": [{"port": "src", "state": {"kind": "gaussian", "k0": 30.0, "sigma": 2.0}}],
+        "detectors": ["d", "t", "r"],
+        "vacuum": ["vac"],
+    }
+    netlist = write_json(tmp_path / "nan.json", obj)
+    code, out = run(tmp_path, "circuit", "--netlist", netlist)
+    assert code == 3
+    err = "error: circuit_result.json: Out of range float values are not JSON compliant: nan\n"
+    assert capsys.readouterr().err == err
+    assert not (out / "circuit_result.json").exists()
 
 
 def test_circuit_cycle_is_reported(tmp_path, capsys):
@@ -843,3 +876,96 @@ def test_global_flags_never_crash(units, seed, samples, grid_n):
     # the netlist carries its own grid, so --grid is parsed and checked but allocates nothing
     run_fuzzed_json(ALL_KINDS_NETLIST, *units, f"--seed={seed}", f"--grid={grid_n},1.0,1.0",
                     "circuit", "--netlist", "{json}", f"--samples={samples}")
+
+
+NON_FINITE_LOCALIZED = pytest.mark.parametrize(
+    "args, error",
+    [
+        (("--dim", "3", "--k-max", "1", "--delta-t", "1e-320", "--points", "100"), "re(rho+)"),
+        (("--dim", "1", "--k-max", "1", "--span", "1e308", "--points", "100"), "u"),
+    ],
+    ids=["3d-delta-t", "1d-span"],
+)
+
+
+@NON_FINITE_LOCALIZED
+def test_non_finite_localized_run_warns_nothing(tmp_path, capsys, args, error):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "localized", *args)
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: non-finite result: {error}\n"
+    assert not out.exists()
+
+
+@NON_FINITE_LOCALIZED
+def test_non_finite_localized_run_prints_one_line_from_a_shell(tmp_path, args, error):
+    # pytest captures warnings in-process; a fresh interpreter shows what a user would see
+    env = {**os.environ, "PYTHONPATH": str(Path(photonflux.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "photonflux.cli", "--out", str(tmp_path / "out"), "localized", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: non-finite result: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# ---- circuit_result.json template writer --------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e16, 1e-5, 9999999999999998.0,
+               1e15, 1e-4, 0.1, 1.0 / 3.0, 1.7976931348623157e308]
+# values the template leaves to json.dumps: non-finite ones, which exit 3, and an int, written without ".0"
+UNTEMPLATED = [float("nan"), float("inf"), float("-inf"), 0]
+ledger_number = (finite | st.sampled_from(EDGE_FLOATS)).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+ledger_id = st.text() | st.sampled_from(["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\U0001F600\u00e9", "ledger"])
+ledger_row = st.builds(cli_mod.circ.LedgerRow, ledger_id, ledger_number, ledger_number, ledger_number)
+
+
+@st.composite
+def circuit_payload(draw):
+    """A circuit_result.json payload without its ledger: ports, sums and maybe samples."""
+    ports = draw(st.lists(ledger_id, max_size=4, unique=True))
+    payload = {
+        "detectors": {p: {"probability": draw(finite), "delay": draw(finite)} for p in ports},
+        "absorbed": draw(finite),
+        "conservation_sum": draw(finite),
+        "conservation_defect": draw(finite),
+        "convention": draw(st.sampled_from(["default", "paper"])),
+        "units": draw(st.sampled_from(["natural", "si"])),
+    }
+    if draw(st.booleans()):
+        payload["samples"] = {label: draw(st.integers(0, 10**6)) for label in [*ports, "absorbed"]}
+        payload["seed"] = draw(st.integers(0, 2**63))
+    return payload
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    payload=circuit_payload(),
+    # many rows repeat a few drawn ones: drawing hundreds costs seconds and tests no more of the template
+    rows=st.lists(ledger_row, max_size=3) | st.lists(ledger_row, min_size=2, max_size=6).map(lambda r: r * 40),
+    planted=st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(["number_in", "number_out", "absorbed"]),
+                                  st.sampled_from(UNTEMPLATED)),
+)
+def test_ledger_template_writes_what_json_dumps_writes(payload, rows, planted):
+    if planted is not None and rows:
+        index, field, value = planted
+        rows[index % len(rows)] = replace(rows[index % len(rows)], **{field: value})
+    ledger = [{"element": r.element_id, "number_in": r.number_in, "number_out": r.number_out,
+               "absorbed": r.absorbed} for r in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "circuit_result.json"
+        try:
+            expected = json.dumps(payload | {"ledger": ledger}, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            with pytest.raises(cli_mod.InvariantError) as caught:
+                cli_mod._write_json(path, payload, ledger=tuple(rows))
+            assert str(caught.value) == f"circuit_result.json: {exc}"
+            assert not path.exists()
+        else:
+            cli_mod._write_json(path, payload, ledger=tuple(rows))
+            assert path.read_bytes() == (expected + "\n").encode()

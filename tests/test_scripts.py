@@ -28,6 +28,11 @@ SRC = Path(photonflux.__file__).resolve().parent.parent
             ["--count", "1000", "--seed", "3"],
             "float repr check: 1000 random bit patterns (seed 3) and 105700 edge values",
         ),
+        (
+            "artifact_digest.py",
+            ["--workload", "circuit_sweep", "--seed", "3", "--ops", "2"],
+            "artifact digests: circuit_sweep seed 3, ops 0..1",
+        ),
     ],
 )
 def test_script_runs_and_prints_header(script, args, header):
