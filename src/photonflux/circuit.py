@@ -9,11 +9,12 @@ probability at a port is its photon number.  A per-element ledger tracks
 number in, number out and what was absorbed.
 """
 
-import cmath
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +29,18 @@ from .optics import (
     PhaseShifter,
 )
 from .spectral import (
+    REQUIRED,
     KGrid1D,
     SpectralAmplitude,
+    json_complex,
     json_field,
+    json_fields,
     json_int,
+    json_list,
+    json_names,
+    json_number,
+    json_object,
+    json_str,
     make_gaussian_state,
     photon_number,
     photon_number_of,
@@ -41,8 +50,8 @@ from .units import NATURAL, UnitsConfig
 CONSERVATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
+    """One element of a netlist: a named tuple, immutable and cheap to build."""
     id: str
     spec: ElementSpec
     inputs: tuple
@@ -54,11 +63,10 @@ class Netlist:
     """Feed-forward wiring of one source to detectors.
 
     ``vacuum_ports`` name the empty inputs (a beam splitter's unused arm);
-    they behave like produced ports carrying zero amplitude.  ``order`` is
-    the element order of :func:`_topological_order` and ``violations`` the
-    wiring violations of :func:`_violations`; each is computed on first use
-    and cached: the netlist is frozen, so every later read gets the same
-    value.
+    they behave like produced ports carrying zero amplitude.  The wiring map
+    ``producer`` and the ``order`` of :func:`_topological_order`, which
+    reads it, and the ``violations`` of :func:`_violations` are each
+    computed on first use and cached: the netlist is frozen.
     """
 
     elements: tuple
@@ -66,6 +74,14 @@ class Netlist:
     source_state: SpectralAmplitude
     detectors: tuple
     vacuum_ports: tuple = ()
+
+    @cached_property
+    def producer(self) -> dict:
+        """Port -> id of the first element that produces it; the source port maps to None."""
+        # built backwards, so the first producer of a port is the last to write it
+        producer = {port: el.id for el in reversed(self.elements) for port in reversed(el.outputs)}
+        producer[self.source_port] = None
+        return producer
 
     @cached_property
     def order(self):
@@ -113,8 +129,9 @@ class PulseState:
         return float(sum(rec.probability for rec in self.ports.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerRow:
+    """Number in, number out and absorbed at one element."""
     element_id: str
     number_in: float
     number_out: float
@@ -136,7 +153,11 @@ def validate(netlist: Netlist) -> list:
 
 
 def _violations(netlist: Netlist) -> list:
-    """Every wiring violation of ``netlist``, in the order they are checked."""
+    """Every wiring violation of ``netlist``, in the order they are checked.
+
+    Ports produced but never consumed are listed sorted, so the text does
+    not change with the process's string hashes.
+    """
     violations = []
     produced = {netlist.source_port, *netlist.vacuum_ports}
     if netlist.source_port in netlist.vacuum_ports:
@@ -186,7 +207,7 @@ def _violations(netlist: Netlist) -> list:
 
     if len(set(netlist.detectors)) != len(netlist.detectors):
         violations.append("duplicate detector ports")
-    for port in produced - consumed:
+    for port in sorted(produced - consumed, key=str):
         violations.append(f"port {port!r} is produced but never consumed")
 
     if netlist.order is None:
@@ -197,26 +218,29 @@ def _violations(netlist: Netlist) -> list:
 def _topological_order(netlist: Netlist):
     """Kahn's algorithm over elements; None if the wiring has a cycle.
 
-    The ready set is a heap keyed by element id: the smallest ready id
-    always goes next, which fixes the ledger row order, and the sort takes
-    O(E log E) for E elements.  Callers read it as ``Netlist.order``, which
-    runs this once per netlist however often it is validated and run.
+    An element waits for the producers of its inputs in ``Netlist.producer``
+    (the source and vacuum ports have none).  The ready set is a heap keyed
+    by element id: the smallest ready id always goes next, which fixes the
+    ledger row order, and the sort takes O(E log E) for E elements.  Callers
+    read it as ``Netlist.order``, which runs this once per netlist however
+    often it is validated and run.
     """
-    producer = {netlist.source_port: None}
-    for el in netlist.elements:
-        for port in el.outputs:
-            producer.setdefault(port, el.id)
-    deps = {}
-    for el in netlist.elements:
-        deps[el.id] = {
-            producer[p] for p in el.inputs if producer.get(p) is not None
-        }
-    users = {}
+    producer = netlist.producer
     pending = {}
-    for eid, d in deps.items():
-        pending[eid] = len(d)
-        for dep in d:
-            users.setdefault(dep, []).append(eid)
+    users = {}
+    for el in netlist.elements:
+        # an element fed twice by one producer waits for it twice and is
+        # released twice when it goes, so its count still reaches zero then
+        eid = el.id
+        waits = 0
+        for port in el.inputs:
+            dep = producer.get(port)
+            if dep is not None:
+                waits += 1
+                users.setdefault(dep, []).append(eid)
+        pending[eid] = waits
+    if len(pending) != len(netlist.elements):
+        return None  # a repeated id: no order runs every element
     ready = [eid for eid, n in pending.items() if n == 0]
     heapq.heapify(ready)
     order = []
@@ -227,9 +251,7 @@ def _topological_order(netlist: Netlist):
             pending[other] -= 1
             if pending[other] == 0:
                 heapq.heappush(ready, other)
-    if len(order) != len(netlist.elements):
-        return None
-    return order
+    return order if len(order) == len(netlist.elements) else None
 
 
 def run_circuit(
@@ -239,16 +261,17 @@ def run_circuit(
 
     Elements are applied in topological order, each by contracting its
     ``transfer`` with its input spectra (per bin for a medium segment, which
-    also adds its group delay).  An element fed only by vacuum ports whose
-    factors are all finite scalars does no array work: zero amplitude times
-    a finite factor is zero, so its outputs stay vacuum and its ledger row
-    is exactly (0.0, 0.0, 0.0).  A medium segment (per-bin factors) or a
-    non-finite factor is contracted as usual, so a NaN on a vacuum arm
-    still reaches the ledger.  The returned ledger satisfies number_in =
-    number_out + absorbed per element (exactly, by construction of the
-    rows).  With ``paper_convention`` interfaces use the non-conserving
-    literal Fresnel pair, so end-to-end conservation is expected to fail by
-    the quantified defect.
+    also adds its group delay).  The loop is written out for the one and two
+    inputs and outputs the element kinds have: an element pops its inputs,
+    calls ``_contract`` and ``photon_number_of`` once per output and appends
+    one ledger row.  An element fed only by vacuum whose spec
+    ``passes_vacuum`` (its factors are finite scalars by construction) does
+    no array work: its outputs stay vacuum and its row is exactly (0.0, 0.0,
+    0.0).  Media and interfaces are contracted as usual, so a NaN factor on
+    a vacuum arm still reaches the ledger.  Each row satisfies number_in =
+    number_out + absorbed exactly.  With ``paper_convention`` interfaces use
+    the non-conserving literal Fresnel pair, so end-to-end conservation
+    fails by the quantified defect.
     """
     violations = validate(netlist)
     if violations:
@@ -259,63 +282,65 @@ def run_circuit(
 
     by_id = {el.id: el for el in netlist.elements}
     grid = netlist.source_state.grid
+    dk = grid.dk
     omega = units.c * grid.k
     zeros = np.zeros(grid.n, dtype=complex)
 
     # live map: port -> (amplitude array, accumulated delay, photon number);
     # each port's number is computed once, when the port is produced
     src = netlist.source_state.c.copy()
-    live = {netlist.source_port: (src, 0.0, photon_number_of(src, grid.dk))}
+    live = {netlist.source_port: (src, 0.0, photon_number_of(src, dk))}
+    pop = live.pop
     empty = (zeros, 0.0, 0.0)
-    rows = []
-    absorbing_rows = []
+    rows, absorbing_rows = [], []
 
     for eid in netlist.order:
         el = by_id[eid]
-        ins = [live.pop(p, empty) for p in el.inputs]
-        spec = el.spec
-        transfer = spec.transfer(omega, units, paper_convention)
-        if all(entry is empty for entry in ins) and _finite_scalars(transfer):
+        spec, ins = el.spec, el.inputs
+        first = pop(ins[0], empty)
+        second = pop(ins[1], empty) if len(ins) == 2 else empty
+        if first is empty and second is empty and getattr(spec, "passes_vacuum", False):
             rows.append(LedgerRow(eid, 0.0, 0.0, 0.0))
             continue
-        n_in = sum(n for _, _, n in ins)
-        arrays = [arr for arr, _, _ in ins]
-        delay = _merge_delay(ins)
+        transfer = spec.transfer(omega, units, paper_convention)
+        if len(ins) == 1:
+            arrays, delay, n_in = first[:1], first[1], first[2]
+        else:
+            (a0, d0, w0), (a1, d1, w1) = first, second
+            arrays, n_in = (a0, a1), w0 + w1
+            # the photon-number-weighted mean of the input delays
+            delay = 0.0 if n_in == 0.0 else (w0 * d0 + w1 * d1) / n_in
         medium = isinstance(spec, MediumSegment)
         if medium:
             delay += spec.group_delay(arrays[0], units)
-        outs = [_contract(row, arrays) for row in transfer]
-        numbers = [photon_number_of(arr, grid.dk) for arr in outs]
-        n_out = sum(numbers)
+        if len(transfer) == 1:
+            out = _contract(transfer[0], arrays)
+            n_out = photon_number_of(out, dk)
+            live[el.outputs[0]] = (out, delay, n_out)
+        else:
+            out0, out1 = _contract(transfer[0], arrays), _contract(transfer[1], arrays)
+            n0, n1 = photon_number_of(out0, dk), photon_number_of(out1, dk)
+            n_out = n0 + n1
+            port0, port1 = el.outputs
+            live[port0] = (out0, delay, n0)
+            live[port1] = (out1, delay, n1)
         rows.append(LedgerRow(eid, n_in, n_out, n_in - n_out))
         if medium:
             absorbing_rows.append(n_in - n_out)
-        for port, arr, n in zip(el.outputs, outs, numbers):
-            live[port] = (arr, delay, n)
 
     ports = {}
+    helicity = netlist.source_state.helicity
     for port in netlist.detectors:
-        arr, delay, n = live.pop(port, empty)
-        if n > 0.0:
-            spectral = SpectralAmplitude(
-                grid=grid, helicity=netlist.source_state.helicity, c=arr / np.sqrt(n)
-            )
-        else:
-            spectral = None
-        ports[port] = PortRecord(
-            path_amplitude=complex(np.sqrt(n)), spectral=spectral, delay=delay
-        )
+        arr, delay, n = pop(port, empty)
+        root = math.sqrt(n)  # the bits of np.sqrt(n), without a numpy scalar
+        spectral = SpectralAmplitude(grid=grid, helicity=helicity, c=arr / root) if n > 0.0 else None
+        ports[port] = PortRecord(path_amplitude=complex(root), spectral=spectral, delay=delay)
     # Only media absorb.  Unitary elements carry (in - out) ~ 0 in their
     # ledger rows under the default convention; with paper_convention an
     # interface row exposes its conservation defect there instead of having
     # it silently balanced into "absorbed".
     pulse = PulseState(ports=ports, absorbed=float(sum(absorbing_rows)))
     return pulse, Ledger(rows=tuple(rows))
-
-
-def _finite_scalars(transfer) -> bool:
-    """True if every factor of ``transfer`` is a finite number, not a per-bin array."""
-    return all(isinstance(f, complex | float) and cmath.isfinite(f) for row in transfer for f in row)
 
 
 def _contract(row, arrays):
@@ -328,16 +353,6 @@ def _contract(row, arrays):
         return arrays[0] * row[0]
     (f0, f1), (a0, a1) = row, arrays
     return f0 * a0 + f1 * a1
-
-
-def _merge_delay(ins) -> float:
-    """Photon-number-weighted mean of the input delays; one input passes through."""
-    if len(ins) == 1:
-        return ins[0][1]
-    (_, d0, w0), (_, d1, w1) = ins
-    if w0 + w1 == 0.0:
-        return 0.0
-    return (w0 * d0 + w1 * d1) / (w0 + w1)
 
 
 def coincidence_probability(pulse: PulseState, port_a: str, port_b: str) -> float:
@@ -410,107 +425,83 @@ def mach_zehnder_netlist(source_state: SpectralAmplitude, phi: float) -> Netlist
     )
 
 
-def _spec_from_json(kind: str, params: dict) -> ElementSpec:
-    where = f"{kind} params"
-
-    def get(key, convert=_cplx, *default):
-        return json_field(params, key, convert, where, *default)
-
-    if kind == "phase_shifter":
-        return PhaseShifter(phi=get("phi", float))
-    if kind == "beam_splitter":
-        return BeamSplitter(t=get("t"), r=get("r"))
-    if kind == "medium_segment":
-        return MediumSegment(medium=Medium.constant(get("chi")), length=get("length", float))
-    if kind == "interface":
-        return DielectricInterface(n_in=get("n_in"), n_out=get("n_out"))
-    if kind == "mirror":
-        return Mirror(r=get("r", _cplx, 1.0))
-    raise NetlistError(f"unknown element kind {kind!r}")
-
-
-def _cplx(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
+# element kind -> (spec constructor, "<kind> params", its params in argument order)
+_KINDS = {
+    kind: (make, f"{kind} params", params)
+    for kind, make, params in (
+        ("phase_shifter", PhaseShifter, (("phi", json_number, REQUIRED),)),
+        ("beam_splitter", BeamSplitter, (("t", json_complex, REQUIRED), ("r", json_complex, REQUIRED))),
+        ("medium_segment", lambda chi, length: MediumSegment(Medium.constant(chi), length),
+         (("chi", json_complex, REQUIRED), ("length", json_number, REQUIRED))),
+        ("interface", DielectricInterface, (("n_in", json_complex, REQUIRED), ("n_out", json_complex, REQUIRED))),
+        ("mirror", Mirror, (("r", json_complex, 1.0),)),
+    )
+}
+_KIND = (("kind", json_str, REQUIRED),)
+_WIRING = (("id", json_str, REQUIRED), ("in", json_names, ()), ("out", json_names, ()))
+_GRID = (("N", json_int, REQUIRED), ("dk", json_number, REQUIRED), ("area", json_number, 1.0))
+_GAUSSIAN = (("k0", json_number, REQUIRED), ("sigma", json_number, REQUIRED), ("helicity", json_int, +1),
+             ("x0", json_number, None))
 
 
-def _ports(value) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError("expected a list of port names")
-    ports = tuple(value)
-    hash(ports)  # a TypeError for an unhashable name, which validate could not use
-    return ports
+def _element_from_json(entry) -> Element:
+    """One element: its kind, its kind's params, then its id and ports."""
+    (kind,) = json_fields(entry, "element", _KIND)
+    if kind not in _KINDS:
+        raise NetlistError(f"unknown element kind {kind!r}")
+    make, where, params = _KINDS[kind]
+    spec = make(*json_fields(entry.get("params", {}), where, params))
+    eid, inputs, outputs = json_fields(entry, "element", _WIRING)
+    return Element(eid, spec, inputs, outputs)
 
 
 def state_from_spec(spec: dict, grid: KGrid1D) -> SpectralAmplitude:
     """Build a source state from its JSON description."""
-    def get(key, convert=float, *default):
-        return json_field(spec, key, convert, "state", *default)
-
-    kind = get("kind", str, "gaussian")
+    kind = json_field(spec, "kind", json_str, "state", "gaussian")
     if kind == "gaussian":
-        return make_gaussian_state(
-            k0=get("k0"),
-            sigma=get("sigma"),
-            grid=grid,
-            helicity=get("helicity", json_int, +1),
-            x0=get("x0", float, None),
-        )
+        k0, sigma, helicity, x0 = json_fields(spec, "state", _GAUSSIAN)
+        return make_gaussian_state(k0=k0, sigma=sigma, grid=grid, helicity=helicity, x0=x0)
     if kind == "zero":
-        return SpectralAmplitude(
-            grid=grid,
-            helicity=get("helicity", json_int, +1),
-            c=np.zeros(grid.n, dtype=complex),
-        )
+        helicity = json_field(spec, "helicity", json_int, "state", +1)
+        return SpectralAmplitude(grid=grid, helicity=helicity, c=np.zeros(grid.n, dtype=complex))
     if kind == "amplitude":
         return SpectralAmplitude.from_json(spec)
     raise NetlistError(f"unknown state kind {kind!r}")
 
 
 def netlist_from_json(obj: dict, default_grid: KGrid1D | None = None) -> Netlist:
-    """Parse the netlist JSON schema.
+    """Parse the netlist JSON schema, with strict JSON types.
 
     Expected shape: {"grid": {...}?, "elements": [{"id", "kind", "params",
     "in", "out"}], "sources": [{"port", "state"}], "detectors": [...],
     "vacuum": [...]?}.  Exactly one source is required (single-photon
-    sector).
+    sector).  Every object is read by :func:`spectral.json_fields`, an
+    element's params in one pass over its kind's row of ``_KINDS``: a number
+    is an int or a float (never a bool or a string), a complex a number or
+    an ``[re, im]`` pair, and ids, kinds and port names are strings.
     """
-    g = json_field(obj, "grid", dict, "netlist", None)
+    g = json_field(obj, "grid", json_object, "netlist", None)
     if g is not None:
-        grid = KGrid1D(
-            n=json_field(g, "N", json_int, "grid"),
-            dk=json_field(g, "dk", float, "grid"),
-            area=json_field(g, "area", float, "grid", 1.0),
-        )
+        n, dk, area = json_fields(g, "grid", _GRID)
+        grid = KGrid1D(n=n, dk=dk, area=area)
     elif default_grid is not None:
         grid = default_grid
     else:
         raise NetlistError("netlist JSON carries no grid and no default was given")
 
-    sources = json_field(obj, "sources", list, "netlist", [])
+    sources = json_field(obj, "sources", json_list, "netlist", [])
     if len(sources) != 1:
         raise NetlistError(f"exactly one source required, got {len(sources)}")
     src = sources[0]
-    state = state_from_spec(json_field(src, "state", dict, "source"), grid)
+    state = state_from_spec(json_field(src, "state", json_object, "source"), grid)
 
-    elements = []
-    for entry in json_field(obj, "elements", list, "netlist", []):
-        spec = _spec_from_json(json_field(entry, "kind", str, "element"), entry.get("params", {}))
-        elements.append(
-            Element(
-                id=json_field(entry, "id", str, "element"),
-                spec=spec,
-                inputs=json_field(entry, "in", _ports, "element", ()),
-                outputs=json_field(entry, "out", _ports, "element", ()),
-            )
-        )
+    elements = tuple(map(_element_from_json, json_field(obj, "elements", json_list, "netlist", [])))
     return Netlist(
-        elements=tuple(elements),
-        source_port=json_field(src, "port", str, "source"),
+        elements=elements,
+        source_port=json_field(src, "port", json_str, "source"),
         source_state=state,
-        detectors=json_field(obj, "detectors", _ports, "netlist", ()),
-        vacuum_ports=json_field(obj, "vacuum", _ports, "netlist", ()),
+        detectors=json_field(obj, "detectors", json_names, "netlist", ()),
+        vacuum_ports=json_field(obj, "vacuum", json_names, "netlist", ()),
     )
 
 

@@ -119,15 +119,23 @@ def _dumps_with_ledger(payload: dict, rows) -> str:
 
 
 def _ledger_items(rows) -> str | None:
-    """The rows laid out by ``_LEDGER_ROW``; None for a value json.dumps must handle itself."""
+    """The rows laid out by ``_LEDGER_ROW``; None for a value json.dumps must handle itself.
+
+    Each column is read and checked finite in one pass; the rows are then
+    formatted by C-level maps, one row at a time (``float.__repr__`` raises
+    for a value that is not a float, json's escaper for an id that is not a
+    str), so no Python frame runs per row.
+    """
+    absorbed, number_in, number_out = ([r.absorbed for r in rows], [r.number_in for r in rows],
+                                       [r.number_out for r in rows])
     try:
-        if all(map(math.isfinite, [v for r in rows for v in (r.number_in, r.number_out, r.absorbed)])):
-            return ",".join([_LEDGER_ROW % (float.__repr__(r.absorbed), encode_basestring_ascii(r.element_id),
-                                            float.__repr__(r.number_in), float.__repr__(r.number_out))
-                             for r in rows])
+        if not all(all(map(math.isfinite, column)) for column in (absorbed, number_in, number_out)):
+            return None
+        ids = map(encode_basestring_ascii, [r.element_id for r in rows])
+        return ",".join(map(_LEDGER_ROW.__mod__, zip(map(float.__repr__, absorbed), ids,
+                                                     map(float.__repr__, number_in), map(float.__repr__, number_out))))
     except TypeError:
-        pass  # a value that is not a float, or an id that is not a str
-    return None
+        return None  # a value that is not a float, or an id that is not a str
 
 
 def _csv_header(t: float, k_max: float, units, columns: str) -> str:

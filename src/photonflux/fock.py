@@ -191,7 +191,7 @@ class MixMatrix2:
 
     def __post_init__(self):
         defect = abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:  # a NaN fails it
             raise UnitarityError(f"|t|^2+|r|^2 deviates from 1 by {defect:.3e}")
 
     @property
@@ -213,7 +213,7 @@ def two_mode_mix(state: FockState, mode_a: ModeIndex, mode_b: ModeIndex, u: MixM
     if sa == sb:
         raise InvalidModeError("two_mode_mix needs two distinct modes")
     m_ = u.matrix
-    if np.abs(m_ @ m_.conj().T - np.eye(2)).max() > UNITARITY_TOL:
+    if not np.abs(m_ @ m_.conj().T - np.eye(2)).max() <= UNITARITY_TOL:  # a NaN fails it
         raise UnitarityError("mixing matrix is not unitary")
     t, r = u.t, u.r
     out: dict = {}

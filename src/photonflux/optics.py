@@ -8,6 +8,8 @@ carried: the default flux-conserving amplitude pair, and a literal
 single-photon probability.
 """
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -34,7 +36,7 @@ def refractive_index(chi: complex) -> complex:
     return complex(np.sqrt(z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Medium:
     """Passive dielectric with a constant complex chi; its index n is computed once, here."""
 
@@ -43,6 +45,8 @@ class Medium:
 
     def __post_init__(self):
         chi = complex(self.chi)
+        if not cmath.isfinite(chi):
+            raise DomainError(f"chi must be finite, got {chi!r}")
         if chi.imag < -PASSIVITY_TOL:
             raise PassivityError("Im chi < 0: medium would amplify")
         n = refractive_index(chi)  # rejects branch-cut values
@@ -167,28 +171,39 @@ def momentum_report(state: SpectralAmplitude, chi: complex, units: UnitsConfig =
 # Circuit element specs carry ``arity`` = (inputs, outputs) and a linear
 # ``transfer``: one row per output of per-input amplitude factors, each a
 # scalar or an array over the omega bins.  Only a MediumSegment absorbs.
+# Each spec rejects a NaN parameter: every check is written so that a
+# comparison with NaN, which is False, fails it.  ``passes_vacuum`` marks
+# the specs whose factors are finite scalars for every grid and convention,
+# so vacuum in is vacuum out; an interface's factors can overflow to NaN,
+# and a medium's are per bin.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseShifter:
     phi: float
     arity = (1, 1)
+    passes_vacuum = True
+
+    def __post_init__(self):
+        if not math.isfinite(self.phi):  # a TypeError for a complex phase: exp(i phi) must have modulus 1
+            raise DomainError(f"phase must be finite, got {self.phi!r}")
 
     def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
         return ((np.exp(1j * self.phi),),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeamSplitter:
     """Lossless splitter with matrix ((t, r), (-r*, t*)) on its two ports."""
 
     t: complex
     r: complex
     arity = (2, 2)
+    passes_vacuum = True
 
     def __post_init__(self):
         defect = abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise UnitarityError(f"|t|^2+|r|^2 deviates from 1 by {defect:.3e}")
 
     @property
@@ -199,18 +214,25 @@ class BeamSplitter:
         )
 
     def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
-        return self.scattering.tolist()  # rows of Python scalars: cheaper to unpack than ndarray rows
+        """``scattering.tolist()`` bit for bit, built from Python scalars without an array.
+
+        ``conjugate`` leaves a real t or r real, as ``np.conj`` does, so
+        ``complex`` gives its imaginary part the same +0.0.
+        """
+        t, r = self.t, self.r
+        return [[complex(t), complex(-r.conjugate())], [complex(r), complex(t.conjugate())]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MediumSegment:
     medium: Medium
     length: float
     arity = (1, 1)
+    passes_vacuum = False
 
     def __post_init__(self):
-        if self.length < 0:
-            raise DomainError("segment length must be non-negative")
+        if not 0.0 <= self.length < math.inf:
+            raise DomainError(f"segment length must be finite and non-negative, got {self.length!r}")
 
     def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):
         """exp(i omega n' L / c) * exp(-omega n'' L / c) per bin."""
@@ -227,18 +249,19 @@ class MediumSegment:
         return n_eff * self.length / units.c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DielectricInterface:
     """Planar interface crossed from n_in into n_out; n_in must be lossless."""
 
     n_in: complex
     n_out: complex
     arity = (1, 2)
+    passes_vacuum = False
 
     def __post_init__(self):
         for n in (self.n_in, self.n_out):
             n = complex(n)
-            if n == 0 or not np.isfinite([n.real, n.imag]).all():
+            if n == 0 or not cmath.isfinite(n):
                 raise DomainError("indices must be finite and nonzero")
         require_flux_indices(self.n_in, self.n_out)
 
@@ -250,13 +273,14 @@ class DielectricInterface:
         return ((t * np.sqrt(n2.real / n1.real),), (r,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mirror:
     r: complex = 1.0 + 0.0j
     arity = (1, 1)
+    passes_vacuum = True
 
     def __post_init__(self):
-        if abs(abs(self.r) - 1.0) > UNITARITY_TOL:
+        if not abs(abs(self.r) - 1.0) <= UNITARITY_TOL:
             raise UnitarityError("mirror reflectivity must have unit magnitude")
 
     def transfer(self, omega, units: UnitsConfig = NATURAL, paper_convention: bool = False):

@@ -11,8 +11,8 @@ number-density bilinear in :mod:`photonflux.density` integrates exactly to
 this photon number; see ``synthesize_fields``.
 """
 
-import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +99,7 @@ class SpectralAmplitude:
         def get(key, convert):
             return json_field(obj, key, convert, "state")
 
-        grid = KGrid1D(n=get("N", json_int), dk=get("dk", float), area=get("area", float))
+        grid = KGrid1D(n=get("N", json_int), dk=get("dk", json_number), area=get("area", json_number))
         re, im = get("re", _reals), get("im", _reals)
         if re.shape != im.shape:
             # numpy would broadcast them, or raise a bare ValueError
@@ -110,29 +110,43 @@ class SpectralAmplitude:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-_REQUIRED = object()
+REQUIRED = object()
 
 
-def json_field(obj, key: str, convert, where: str, default=_REQUIRED):
-    """convert(obj[key]), or ``default`` if absent or null; NetlistError naming a bad field."""
+def json_fields(obj, where: str, fields) -> list:
+    """The converted values of ``obj``'s ``fields``, each a ``(key, convert, default)``.
+
+    A key that is absent or null takes its default; ``REQUIRED`` has none.
+    The first bad field raises a NetlistError naming it: ``{where}: missing
+    field ...``, or ``{where}: field ... has invalid value ...`` when
+    ``convert`` raises.  Each converter below accepts only the JSON type it
+    names, so a bool is never a number and a numeric string is never read
+    as one, and a number must be finite.
+    """
     if not isinstance(obj, dict):
         raise NetlistError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    raw = obj.get(key)
-    if raw is None:
-        if default is _REQUIRED:
-            raise NetlistError(f"{where}: missing field {key!r}")
-        return default
-    try:
-        value = convert(raw)
-        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
-            raise ValueError("not finite")
-    except (TypeError, ValueError, IndexError, OverflowError):
-        raise NetlistError(f"{where}: field {key!r} has invalid value {raw!r:.40}") from None
-    return value
+    values = []
+    for key, convert, default in fields:
+        raw = obj.get(key)
+        if raw is None:
+            if default is REQUIRED:
+                raise NetlistError(f"{where}: missing field {key!r}")
+            values.append(default)
+            continue
+        try:
+            values.append(convert(raw))
+        except (TypeError, ValueError, IndexError, OverflowError):
+            raise NetlistError(f"{where}: field {key!r} has invalid value {raw!r:.40}") from None
+    return values
+
+
+def json_field(obj, key: str, convert, where: str, default=REQUIRED):
+    """The one field ``key`` of :func:`json_fields`."""
+    return json_fields(obj, where, ((key, convert, default),))[0]
 
 
 def json_int(value) -> int:
-    """json_field converter: an int, or a float with no fractional part (never a bool)."""
+    """An int, or a float with no fractional part (never a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected an integer")
     if isinstance(value, float) and not value.is_integer():
@@ -140,7 +154,58 @@ def json_int(value) -> int:
     return int(value)
 
 
+def json_number(value) -> float:
+    """A finite int or float (never a bool or a string), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def json_complex(value) -> complex:
+    """A finite number, or an ``[re, im]`` pair of them."""
+    if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ValueError("expected an [re, im] pair")
+        return complex(json_number(value[0]), json_number(value[1]))
+    return complex(json_number(value))
+
+
+def json_names(value) -> tuple:
+    """A list of names, each a string, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected a list of names")
+    "".join(value)  # a TypeError for a name that is not a string
+    return tuple(value)
+
+
+def json_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return value
+
+
+def json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected an object")
+    return value
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _reals(value) -> np.ndarray:
+    """A list of ints and floats, as a float array (its entries' finiteness is the state's check)."""
+    if not isinstance(value, (list, tuple)) or not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise TypeError("expected a list of numbers")
     return np.asarray(value, dtype=float)
 
 

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,6 +104,37 @@ def test_non_spec_element_is_unsupported_kind():
     assert "element x: unsupported kind object" in violations
     with pytest.raises(NetlistError, match="unsupported kind"):
         run_circuit(nl)
+
+
+def _wired(elements, detectors, vacuum=()):
+    return Netlist(elements=elements, source_port="src", source_state=source(), detectors=detectors,
+                   vacuum_ports=vacuum)
+
+
+@pytest.mark.parametrize(
+    "netlist, expected",
+    [
+        # a port produced twice, once over a vacuum port
+        (lambda: _wired((Element("p1", PhaseShifter(0.1), ("src",), ("a",)),
+                         Element("p2", PhaseShifter(0.2), ("a",), ("a",)),
+                         Element("p3", PhaseShifter(0.3), ("v",), ("v",))), ("a",), ("v",)),
+         ["port 'a' produced more than once", "port 'v' produced more than once",
+          "detector port 'a' also feeds an element", "wiring contains a cycle"]),
+        # an unsupported element produces nothing, though the sort still waits for it
+        (lambda: _wired((Element("x", object(), ("src",), ("a",)),
+                         Element("p", PhaseShifter(0.1), ("a",), ("b",))), ("b",)),
+         ["element x: unsupported kind object", "element p: input port 'a' is never produced"]),
+        (lambda: _wired((Element("bs", BeamSplitter(0.6, 0.8), ("src", "src"), ("o", "o")),), ("o",), ("src",)),
+         ["source port is also declared as vacuum", "port 'o' produced more than once",
+          "port 'src' feeds more than one input"]),
+        (lambda: _wired((Element("bs", BeamSplitter(0.6, 0.8), ("src", "vac"), ("b", "a")),
+                         Element("ps", PhaseShifter(0.1), ("a",), ("c",))), (), ("vac", "spare2", "spare1")),
+         [f"port {p!r} is produced but never consumed" for p in ("b", "c", "spare1", "spare2")]),
+    ],
+    ids=["produced-twice", "unsupported-producer", "source-as-vacuum", "never-consumed-sorted"],
+)
+def test_violations_are_listed_in_check_order(netlist, expected):
+    assert validate(netlist()) == expected
 
 
 def test_run_rejects_invalid_netlist():
@@ -545,6 +576,14 @@ def test_run_is_deterministic():
     for port in p1.ports:
         assert p1.ports[port].path_amplitude == p2.ports[port].path_amplitude
     assert p1.absorbed == p2.absorbed
+
+
+def test_ledger_rows_are_frozen():
+    """A returned ledger cannot be edited after the run, and it hashes."""
+    _, ledger = run_circuit(mach_zehnder_netlist(source(), 0.3))
+    with pytest.raises(FrozenInstanceError):
+        ledger.rows[0].absorbed = 0.5
+    assert hash(ledger) == hash(run_circuit(mach_zehnder_netlist(source(), 0.3))[1])
 
 
 # ---- sampling -------------------------------------------------------------------

@@ -496,9 +496,16 @@ def test_float_overflow_exits_3_naming_a_non_finite_result(tmp_path, capsys):
          "state: field 'N' has invalid value 256.7"),
         ({"kind": "amplitude", "N": 2**62, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [], "im": []},
          "sample count must be at most 2**24 = 16777216, got 4611686018427387904"),
+        (GAUSSIAN_SPEC | {"k0": True}, "state: field 'k0' has invalid value True"),
+        (GAUSSIAN_SPEC | {"k0": "4000"}, "state: field 'k0' has invalid value '4000'"),
+        ({"kind": "amplitude", "N": 2, "dk": 1.0, "area": 1.0, "helicity": 1, "re": ["1.0", 0.0], "im": [0.0, 0.0]},
+         "state: field 're' has invalid value ['1.0', 0.0]"),
+        ({"kind": "amplitude", "N": 2, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [1.0, 0.0], "im": [True, False]},
+         "state: field 'im' has invalid value [True, False]"),
     ],
     ids=["top-level-list", "k0-not-a-number", "sigma-missing", "helicity-list", "re-strings", "re-im-lengths",
-         "helicity-not-integral", "amplitude-N-not-integral", "amplitude-N-too-large"],
+         "helicity-not-integral", "amplitude-N-not-integral", "amplitude-N-too-large",
+         "k0-true", "k0-numeric-string", "re-numeric-strings", "im-booleans"],
 )
 def test_malformed_state_json_exits_2_naming_the_field(tmp_path, capsys, state, message):
     spec = write_json(tmp_path / "state.json", state)
@@ -531,6 +538,24 @@ def _malformed_netlists():
     fractional_helicity["sources"][0]["state"]["helicity"] = 1.9
     negative_index = mz_netlist(0.3)
     negative_index["elements"][1] |= {"kind": "interface", "params": {"n_in": -1.0, "n_out": 1.5}}
+    # JSON types are strict: a port name is a string, a number is not a bool or a string, a complex
+    # is a number or an [re, im] pair, and an amplitude state's re and im hold numbers
+    number_port = mz_netlist(0.3)
+    number_port["elements"][2]["out"] = [1, "d_bright"]
+    number_port["detectors"] = [1, "d_bright"]
+    true_phi = mz_netlist(0.3)
+    true_phi["elements"][1]["params"]["phi"] = True
+    string_phi = mz_netlist(0.3)
+    string_phi["elements"][1]["params"]["phi"] = "0.3"
+    string_k0 = mz_netlist(0.3)
+    string_k0["sources"][0]["state"]["k0"] = "60"
+    string_t = mz_netlist(0.3)
+    string_t["elements"][0]["params"]["t"] = "1+2j"
+    triple_t = mz_netlist(0.3)
+    triple_t["elements"][0]["params"]["t"] = [2**-0.5, 0.0, 3.0]
+    string_re = mz_netlist(0.3)
+    string_re["sources"][0]["state"] = {"kind": "amplitude", "N": 2, "dk": 1.0, "area": 1.0, "helicity": 1,
+                                        "re": ["1.0", 0.0], "im": [0.0, 0.0]}
     return [
         (top_list, "netlist must be a JSON object, got list"),
         (bad_phi, "phase_shifter params: field 'phi' has invalid value 'abc'"),
@@ -544,6 +569,13 @@ def _malformed_netlists():
         (huge_n, "sample count must be at most 2**24 = 16777216, got 33554432"),
         (fractional_helicity, "state: field 'helicity' has invalid value 1.9"),
         (negative_index, "interface needs Re n_in > 0 and Re n_out >= 0, got n_in = (-1+0j), n_out = (1.5+0j)"),
+        (number_port, "element: field 'out' has invalid value [1, 'd_bright']"),
+        (true_phi, "phase_shifter params: field 'phi' has invalid value True"),
+        (string_phi, "phase_shifter params: field 'phi' has invalid value '0.3'"),
+        (string_k0, "state: field 'k0' has invalid value '60'"),
+        (string_t, "beam_splitter params: field 't' has invalid value '1+2j'"),
+        (triple_t, "beam_splitter params: field 't' has invalid value [0.7071067811865476, 0.0, 3.0]"),
+        (string_re, "state: field 're' has invalid value ['1.0', 0.0]"),
     ]
 
 
@@ -553,7 +585,8 @@ def _malformed_netlists():
     ids=["top-level-list", "phi-not-a-number", "t-nan", "id-missing", "in-not-a-list", "detector-not-a-name",
          "source-k0-missing", "grid-N-not-a-number", "grid-N-not-integral", "grid-N-too-large",
          "source-helicity-not-integral",
-         "interface-negative-index"],
+         "interface-negative-index", "out-port-a-number", "phi-true", "phi-numeric-string", "source-k0-numeric-string",
+         "t-complex-string", "t-three-entries", "source-re-not-numbers"],
 )
 def test_malformed_netlist_json_exits_2_naming_the_field(tmp_path, capsys, obj, message):
     netlist = write_json(tmp_path / "bad.json", obj)

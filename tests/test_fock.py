@@ -241,6 +241,20 @@ def test_nonunitary_matrix_rejected():
         MixMatrix2(t=0.9, r=0.6)
 
 
+def test_mix_matrix_rejects_a_nan_amplitude():
+    with pytest.raises(UnitarityError):
+        MixMatrix2(t=float("nan"), r=0.0)
+
+
+def test_two_mode_mix_rejects_a_nan_matrix():
+    # a mixer built past MixMatrix2's own check
+    u = object.__new__(MixMatrix2)
+    object.__setattr__(u, "t", float("nan"))
+    object.__setattr__(u, "r", 0.0)
+    with pytest.raises(UnitarityError):
+        two_mode_mix(basis_state(2, 3, {MODE_A: 1}), MODE_A, MODE_B, u)
+
+
 @st.composite
 def mix_matrices(draw):
     theta = draw(st.floats(0.0, math.pi / 2.0))

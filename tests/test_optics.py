@@ -8,6 +8,7 @@ from photonflux import (
     Medium,
     MediumSegment,
     Mirror,
+    PhaseShifter,
     density_field,
     evolve_free,
     fresnel_interface,
@@ -245,3 +246,48 @@ def test_mirror_validation():
 def test_segment_spec_validation():
     with pytest.raises(DomainError):
         MediumSegment(medium=Medium.constant(0.1), length=-2.0)
+
+
+NAN = float("nan")
+
+
+def test_beam_splitter_rejects_a_nan_amplitude():
+    with pytest.raises(UnitarityError):
+        BeamSplitter(t=NAN, r=0.0)
+
+
+def test_mirror_rejects_a_nan_reflectivity():
+    with pytest.raises(UnitarityError):
+        Mirror(r=complex(NAN, 0.0))
+
+
+def test_phase_shifter_rejects_a_non_finite_phase():
+    for phi in (NAN, float("inf")):
+        with pytest.raises(DomainError):
+            PhaseShifter(phi=phi)
+
+
+def test_segment_rejects_a_non_finite_length():
+    for length in (NAN, float("inf")):
+        with pytest.raises(DomainError):
+            MediumSegment(medium=Medium.constant(0.1), length=length)
+
+
+def test_medium_rejects_a_non_finite_chi():
+    for chi in (complex(NAN, 0.0), complex(0.0, NAN), complex(float("inf"), 0.0)):
+        with pytest.raises(DomainError):
+            Medium.constant(chi)
+
+
+@pytest.mark.parametrize(
+    "t, r",
+    [(0.6, 0.8), (0.6, 0.8j), (-0.6, -0.8), (1, 0), (0.0, 1.0), (-0.0, -1.0), (1.0, -0.0),
+     (complex(0.6, -0.0), complex(-0.0, 0.8)), (np.float64(0.6), np.float64(-0.8)), (0.6 + 0.0j, 0.8 + 0.0j),
+     (np.exp(0.3j) * 0.6, np.exp(-1.1j) * 0.8)],
+)
+def test_splitter_transfer_is_its_scattering_matrix_bit_for_bit(t, r):
+    # the run loop multiplies spectra by these factors, so even the sign of a zero must match
+    transfer = BeamSplitter(t=t, r=r).transfer(None)
+    expected = BeamSplitter(t=t, r=r).scattering.tolist()
+    assert [[type(f) for f in row] for row in transfer] == [[complex, complex]] * 2
+    assert [[repr(f) for f in row] for row in transfer] == [[repr(f) for f in row] for row in expected]

@@ -21,7 +21,7 @@ from photonflux import (
     synthesize_fields,
 )
 from photonflux.errors import DimensionError, DomainError, GridCoverageError
-from photonflux.spectral import json_int
+from photonflux.spectral import json_complex, json_int, json_names, json_number
 from photonflux.units import NATURAL
 
 from conftest import random_band_state
@@ -289,6 +289,19 @@ def test_json_int_accepts_only_integral_numbers():
     for value in (1.9, 256.7, float("inf"), float("nan"), True, "3", [1]):
         with pytest.raises((TypeError, ValueError)):
             json_int(value)
+
+
+def test_json_converters_accept_only_their_json_type():
+    assert json_number(3) == 3.0 and type(json_number(3)) is float
+    assert json_complex(0.5) == 0.5 + 0j and json_complex([0.5, -1]) == complex(0.5, -1.0)
+    assert json_names(["a", "b"]) == ("a", "b") and json_names([]) == ()
+    for convert, value in [(json_number, True), (json_number, "0.3"), (json_number, float("nan")),
+                           (json_number, 10**400), (json_number, [1.0]), (json_complex, "1+2j"),
+                           (json_complex, [1.0, 2.0, 3.0]), (json_complex, [1.0]), (json_complex, [True, 0.0]),
+                           (json_complex, [0.0, float("inf")]), (json_names, "src"), (json_names, [1, "d"]),
+                           (json_names, [["d"]])]:
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            convert(value)
 
 
 def test_support_check_flags_wraparound(grid):
