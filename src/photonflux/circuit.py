@@ -41,9 +41,9 @@ from .spectral import (
     json_number,
     json_object,
     json_str,
-    make_gaussian_state,
     photon_number,
     photon_number_of,
+    state_from_spec,
 )
 from .units import NATURAL, UnitsConfig
 
@@ -199,6 +199,9 @@ def _violations(netlist: Netlist) -> list:
                 violations.append(f"element {el.id}: input port {port!r} is never produced")
 
     for port in netlist.detectors:
+        if port == "absorbed":
+            # sample_outcomes counts the absorbed outcome under this label
+            violations.append(f"detector port {port!r} is reserved for the absorbed outcome")
         if port in consumed:
             violations.append(f"detector port {port!r} also feeds an element")
         if port not in produced:
@@ -440,8 +443,6 @@ _KINDS = {
 _KIND = (("kind", json_str, REQUIRED),)
 _WIRING = (("id", json_str, REQUIRED), ("in", json_names, ()), ("out", json_names, ()))
 _GRID = (("N", json_int, REQUIRED), ("dk", json_number, REQUIRED), ("area", json_number, 1.0))
-_GAUSSIAN = (("k0", json_number, REQUIRED), ("sigma", json_number, REQUIRED), ("helicity", json_int, +1),
-             ("x0", json_number, None))
 
 
 def _element_from_json(entry) -> Element:
@@ -453,20 +454,6 @@ def _element_from_json(entry) -> Element:
     spec = make(*json_fields(entry.get("params", {}), where, params))
     eid, inputs, outputs = json_fields(entry, "element", _WIRING)
     return Element(eid, spec, inputs, outputs)
-
-
-def state_from_spec(spec: dict, grid: KGrid1D) -> SpectralAmplitude:
-    """Build a source state from its JSON description."""
-    kind = json_field(spec, "kind", json_str, "state", "gaussian")
-    if kind == "gaussian":
-        k0, sigma, helicity, x0 = json_fields(spec, "state", _GAUSSIAN)
-        return make_gaussian_state(k0=k0, sigma=sigma, grid=grid, helicity=helicity, x0=x0)
-    if kind == "zero":
-        helicity = json_field(spec, "helicity", json_int, "state", +1)
-        return SpectralAmplitude(grid=grid, helicity=helicity, c=np.zeros(grid.n, dtype=complex))
-    if kind == "amplitude":
-        return SpectralAmplitude.from_json(spec)
-    raise NetlistError(f"unknown state kind {kind!r}")
 
 
 def netlist_from_json(obj: dict, default_grid: KGrid1D | None = None) -> Netlist:

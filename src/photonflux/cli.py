@@ -9,6 +9,8 @@ invariant violated (including a non-finite result).  Each ``cmd_*``
 raises a :class:`PhotonfluxError` on bad input and an
 :class:`InvariantError` on a broken invariant; :func:`main` alone turns
 the outcome into an exit code and one ``error: ...`` line on stderr.
+``circuit`` and ``optics`` are imported inside the subcommands that run
+them, so ``density`` and ``localized`` never load them.
 """
 
 import argparse
@@ -21,9 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuit as circ
 from . import density as dens
-from . import optics
 from . import spectral as spec
 from .errors import DomainError, InvariantError, NetlistError, PhotonfluxError
 from .units import units_for
@@ -146,7 +146,7 @@ def _csv_header(t: float, k_max: float, units, columns: str) -> str:
 def _load_state_spec(path: str, grid: spec.KGrid1D) -> spec.SpectralAmplitude:
     with open(path) as fh:
         obj = json.load(fh)
-    return circ.state_from_spec(obj, grid)
+    return spec.state_from_spec(obj, grid)
 
 
 def cmd_density(args) -> None:
@@ -246,6 +246,8 @@ def cmd_localized(args) -> None:
 
 
 def cmd_circuit(args) -> None:
+    from . import circuit as circ
+
     if args.samples < 0:
         raise DomainError("--samples must be non-negative")
     netlist = circ.load_netlist(args.netlist, default_grid=args.grid)
@@ -275,6 +277,8 @@ def cmd_circuit(args) -> None:
 
 
 def cmd_fresnel(args) -> None:
+    from . import optics
+
     n1, n2 = args.n1, args.n2
     budget = optics.interface_budget(n1, n2, paper_convention=args.paper_convention)
     result = {
@@ -296,6 +300,8 @@ def cmd_fresnel(args) -> None:
 
 
 def cmd_momentum(args) -> None:
+    from . import optics
+
     state = _load_state_spec(args.state, args.grid)
     chi = args.chi
     report = optics.momentum_report(state, chi, args.units)

@@ -11,7 +11,6 @@ number-density bilinear in :mod:`photonflux.density` integrates exactly to
 this photon number; see ``synthesize_fields``.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -85,6 +84,7 @@ class SpectralAmplitude:
         object.__setattr__(self, "c", c)
 
     def to_json(self) -> dict:
+        """The fields of an ``amplitude`` state spec, all but its ``kind``."""
         return {
             "N": self.grid.n,
             "dk": self.grid.dk,
@@ -93,21 +93,6 @@ class SpectralAmplitude:
             "re": self.c.real.tolist(),
             "im": self.c.imag.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SpectralAmplitude":
-        def get(key, convert):
-            return json_field(obj, key, convert, "state")
-
-        grid = KGrid1D(n=get("N", json_int), dk=get("dk", json_number), area=get("area", json_number))
-        re, im = get("re", _reals), get("im", _reals)
-        if re.shape != im.shape:
-            # numpy would broadcast them, or raise a bare ValueError
-            raise NetlistError(f"state: fields 're' and 'im' differ in shape, {re.shape} vs {im.shape}")
-        return cls(grid=grid, helicity=get("helicity", json_int), c=re + 1j * im)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 REQUIRED = object()
@@ -290,6 +275,41 @@ def localized_state(grid: KGrid1D, node: int, helicity: int = +1) -> SpectralAmp
     return SpectralAmplitude(grid=grid, helicity=helicity, c=c)
 
 
+# state kind -> the fields of its spec, in the order they are read
+_GAUSSIAN = (("k0", json_number, REQUIRED), ("sigma", json_number, REQUIRED), ("helicity", json_int, +1),
+             ("x0", json_number, None))
+_ZERO = (("helicity", json_int, +1),)
+_AMPLITUDE = (("N", json_int, REQUIRED), ("dk", json_number, REQUIRED), ("area", json_number, REQUIRED),
+              ("re", _reals, REQUIRED), ("im", _reals, REQUIRED), ("helicity", json_int, REQUIRED))
+
+
+def state_from_spec(spec, grid: KGrid1D) -> SpectralAmplitude:
+    """The state a JSON state spec describes; the one reader of a state spec.
+
+    ``kind`` (default ``gaussian``) picks the fields read by
+    :func:`json_fields`: ``gaussian`` and ``zero`` states live on ``grid``,
+    an ``amplitude`` state on its own ``N``, ``dk`` and ``area``, whose grid
+    is built before its ``re`` and ``im`` lists are read.
+    """
+    kind = json_field(spec, "kind", json_str, "state", "gaussian")
+    if kind == "gaussian":
+        k0, sigma, helicity, x0 = json_fields(spec, "state", _GAUSSIAN)
+        return make_gaussian_state(k0=k0, sigma=sigma, grid=grid, helicity=helicity, x0=x0)
+    if kind == "zero":
+        (helicity,) = json_fields(spec, "state", _ZERO)
+        return SpectralAmplitude(grid=grid, helicity=helicity, c=np.zeros(grid.n, dtype=complex))
+    if kind != "amplitude":
+        raise NetlistError(f"unknown state kind {kind!r}")
+    n, dk, area = json_fields(spec, "state", _AMPLITUDE[:3])
+    grid = KGrid1D(n=n, dk=dk, area=area)
+    re, im = json_fields(spec, "state", _AMPLITUDE[3:5])
+    if re.shape != im.shape:
+        # numpy would broadcast them, or raise a bare ValueError
+        raise NetlistError(f"state: fields 're' and 'im' differ in shape, {re.shape} vs {im.shape}")
+    (helicity,) = json_fields(spec, "state", _AMPLITUDE[5:])
+    return SpectralAmplitude(grid=grid, helicity=helicity, c=re + 1j * im)
+
+
 def evolve_free(state: SpectralAmplitude, dt: float, units: UnitsConfig = NATURAL) -> SpectralAmplitude:
     """Free evolution by dt: each bin picks up exp(-i omega_j dt), omega = c k."""
     phase = np.exp(-1j * units.c * state.grid.k * dt)
@@ -379,18 +399,20 @@ def scalar_product(
     raise DomainError(f"unknown method {method!r} (expected 'kspace' or 'xspace')")
 
 
-def assert_support_clear(values: np.ndarray, margin: int = 10, threshold: float = 1e-8) -> None:
-    """Require a pulse to stay clear of the periodic wrap-around.
+# a pulse is clear of the periodic wrap-around when |values| within SUPPORT_MARGIN samples of both
+# domain ends stays below SUPPORT_THRESHOLD times its peak
+SUPPORT_MARGIN = 10
+SUPPORT_THRESHOLD = 1e-8
 
-    Checks that |values| within ``margin`` samples of both domain ends stays
-    below ``threshold`` times the peak.  Raises DomainError otherwise.
-    """
+
+def assert_support_clear(values: np.ndarray) -> None:
+    """Require a pulse to stay clear of the periodic wrap-around; raises DomainError otherwise."""
     mags = np.abs(np.asarray(values))
     peak = mags.max()
     if peak == 0.0:
         return
-    edge = max(np.max(mags[:margin]), np.max(mags[-margin:]))
-    if edge > threshold * peak:
+    edge = max(np.max(mags[:SUPPORT_MARGIN]), np.max(mags[-SUPPORT_MARGIN:]))
+    if edge > SUPPORT_THRESHOLD * peak:
         raise DomainError(
             f"pulse support reaches the wrap-around (edge/peak = {edge / peak:.3e})"
         )

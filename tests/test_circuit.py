@@ -32,9 +32,10 @@ from photonflux import (
     validate,
 )
 import photonflux.circuit as circuit_mod
-from photonflux.circuit import PortRecord, PulseState, _topological_order, state_from_spec
+from photonflux.circuit import PortRecord, PulseState, _topological_order
 from photonflux.errors import InvariantError, NetlistError, PortError
 from photonflux.optics import DielectricInterface, fresnel_interface
+from photonflux.spectral import state_from_spec
 from photonflux.units import NATURAL
 
 
@@ -593,6 +594,15 @@ def test_certain_detection_always_fires():
     pulse, _ = run_circuit(nl)
     for seed in range(5):
         assert sample_outcomes(pulse, seed, 1) == {"a": 1, "absorbed": 0}
+
+
+def test_detector_named_absorbed_is_rejected():
+    # sample_outcomes reports the absorbed outcome under that label, which would overwrite the detector's count
+    bs = BeamSplitter(t=2**-0.5, r=2**-0.5)
+    nl = _wired((Element("bs", bs, ("src", "vac"), ("absorbed", "d2")),), ("absorbed", "d2"), ("vac",))
+    assert validate(nl) == ["detector port 'absorbed' is reserved for the absorbed outcome"]
+    with pytest.raises(NetlistError, match="detector port 'absorbed' is reserved for the absorbed outcome"):
+        run_circuit(nl)
 
 
 def test_fully_absorbed_always_absorbed():

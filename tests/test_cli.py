@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import photonflux
+import photonflux.circuit as circuit_mod
 import photonflux.cli as cli_mod
+import photonflux.optics as optics_mod
 from photonflux.cli import main
 
 from conftest import fail_forked_csv_rows, fill_disk_while_formatting
@@ -82,7 +84,7 @@ def test_density_header_and_continuity_step_use_the_amplitude_state_grid(tmp_pat
     code, out = run(tmp_path, "density", "--state", write_json(tmp_path / "state.json", amplitude))
     assert code == 0
     assert (out / "density.csv").read_text().splitlines()[0] == "# t=0.0 k_max=2048.0 units=natural"
-    state = cli_mod.circ.state_from_spec(amplitude, grid)
+    state = cli_mod.spec.state_from_spec(amplitude, grid)
     expected = cli_mod.dens.continuity_residual(state, 0.0, grid.dx / 256.0, cli_mod.units_for("natural"))
     assert json.loads((out / "summary.json").read_text())["continuity_residual"] == expected
 
@@ -198,8 +200,8 @@ def _counting(monkeypatch, module, name):
 
 
 def test_circuit_sorts_the_netlist_once(tmp_path, monkeypatch):
-    sorts = _counting(monkeypatch, cli_mod.circ, "_topological_order")
-    validations = _counting(monkeypatch, cli_mod.circ, "validate")
+    sorts = _counting(monkeypatch, circuit_mod, "_topological_order")
+    validations = _counting(monkeypatch, circuit_mod, "validate")
     netlist = write_json(tmp_path / "mz.json", mz_netlist(0.3))
     code, out = run(tmp_path, "circuit", "--netlist", netlist, "--samples", "10")
     assert code == 0
@@ -209,8 +211,8 @@ def test_circuit_sorts_the_netlist_once(tmp_path, monkeypatch):
 
 
 def test_circuit_computes_violations_once(tmp_path, monkeypatch):
-    computed = _counting(monkeypatch, cli_mod.circ, "_violations")
-    validations = _counting(monkeypatch, cli_mod.circ, "validate")
+    computed = _counting(monkeypatch, circuit_mod, "_violations")
+    validations = _counting(monkeypatch, circuit_mod, "validate")
     netlist = write_json(tmp_path / "mz.json", mz_netlist(0.3))
     code, out = run(tmp_path, "circuit", "--netlist", netlist, "--samples", "10")
     assert code == 0
@@ -320,7 +322,7 @@ def test_circuit_conservation_breach_exits_3(tmp_path, monkeypatch):
     def broken_run(netlist, units=None, paper_convention=False):
         return PulseState(ports={}, absorbed=0.5), Ledger(rows=())
 
-    monkeypatch.setattr(cli_mod.circ, "run_circuit", broken_run)
+    monkeypatch.setattr(circuit_mod, "run_circuit", broken_run)
     netlist = write_json(tmp_path / "mz.json", mz_netlist(0.0))
     code, _ = run(tmp_path, "circuit", "--netlist", netlist)
     assert code == 3
@@ -383,14 +385,20 @@ def test_si_units_mode_density(tmp_path):
     assert summary["units"] == "si"
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    probe = f"import sys, photonflux.cli; print({module!r} in sys.modules)"
+def _cli_modules(*argvs) -> set:
+    """The modules of a fresh process that imports photonflux.cli and then runs ``main`` on each argv."""
+    runs = "".join(f"assert photonflux.cli.main({list(argv)!r}) == 0; " for argv in argvs)
+    probe = f"import sys, photonflux.cli; {runs}print(*sys.modules)"
     src = Path(photonflux.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    return proc.stdout.strip() == "True"
+    return set(proc.stdout.split())
+
+
+def _loaded_by_cli_import(module: str) -> bool:
+    return module in _cli_modules()
 
 
 def test_cli_import_does_not_load_scipy_integrate():
@@ -402,6 +410,56 @@ def test_cli_import_does_not_load_scipy_integrate():
 def test_cli_import_does_not_build_the_float_repr_tables():
     # only the CSV writer uses them; circuit, fresnel and momentum runs write no CSV
     assert not _loaded_by_cli_import("photonflux.floatrepr")
+
+
+def test_density_and_localized_runs_load_no_circuit_optics_or_fock(tmp_path):
+    # each subcommand imports only the modules it runs
+    state = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    loaded = _cli_modules(["--out", str(tmp_path / "density"), "density", "--state", state],
+                          ["--out", str(tmp_path / "localized"), "localized", "--dim", "1", "--k-max", "1.0"])
+    assert "photonflux.density" in loaded
+    assert not loaded & {"photonflux.circuit", "photonflux.optics", "photonflux.fock"}
+
+
+# every name photonflux exported when its __init__ imported each module eagerly, as module.name
+EXPORTED = """
+    units.NATURAL units.SI units.UnitsConfig units.units_for
+    spectral.FieldSet spectral.KGrid1D spectral.SpectralAmplitude spectral.assert_support_clear spectral.evolve_free
+    spectral.extract_spectrum spectral.localized_state spectral.make_gaussian_state spectral.photon_number
+    spectral.scalar_product spectral.single_mode_state spectral.synthesize_fields
+    density.DensityField density.continuity_residual density.current_field density.density_field
+    density.localized_density_1d density.localized_density_1d_boxsum density.localized_density_3d
+    density.localized_density_3d_profile density.positive_frequency_density density.shell_mass_fraction
+    density.tail_mass
+    fock.FockState fock.MixMatrix2 fock.ModeIndex fock.apply_annihilation fock.apply_creation fock.apply_mode_phase
+    fock.basis_state fock.commutator_residual fock.inner_product fock.n_photon_state fock.number_expectation
+    fock.total_number_expectation fock.two_mode_mix fock.vacuum
+    optics.BeamSplitter optics.DielectricInterface optics.Medium optics.MediumSegment optics.Mirror
+    optics.MomentumReport optics.PhaseShifter optics.fresnel_interface optics.interface_budget
+    optics.mirror_momentum_kick optics.momentum_report optics.propagate_in_medium optics.refractive_index
+    circuit.Element circuit.Ledger circuit.Netlist circuit.PulseState circuit.coincidence_probability
+    circuit.load_netlist circuit.mach_zehnder_netlist circuit.netlist_from_json circuit.outcome_probabilities
+    circuit.run_circuit circuit.sample_outcomes circuit.validate
+""".split()
+
+
+def test_every_exported_name_imports_from_its_module():
+    # a fresh process, so each name is listed before its first use and then resolved on it
+    probe = (
+        "import importlib, sys, photonflux\n"
+        f"exported = {EXPORTED!r}\n"
+        "assert {e.split('.')[1] for e in exported} <= set(dir(photonflux))\n"
+        "for entry in exported:\n"
+        "    module, name = entry.split('.')\n"
+        "    names = {}\n"
+        "    exec(f'from photonflux import {name}', names)\n"
+        "    assert names[name] is getattr(importlib.import_module(f'photonflux.{module}'), name), entry\n"
+        "print(len(exported))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(photonflux.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["66"]
 
 
 @pytest.mark.parametrize(
@@ -556,6 +614,9 @@ def _malformed_netlists():
     string_re = mz_netlist(0.3)
     string_re["sources"][0]["state"] = {"kind": "amplitude", "N": 2, "dk": 1.0, "area": 1.0, "helicity": 1,
                                         "re": ["1.0", 0.0], "im": [0.0, 0.0]}
+    absorbed_detector = mz_netlist(0.3)
+    absorbed_detector["elements"][2]["out"] = ["absorbed", "d_bright"]
+    absorbed_detector["detectors"] = ["absorbed", "d_bright"]
     return [
         (top_list, "netlist must be a JSON object, got list"),
         (bad_phi, "phase_shifter params: field 'phi' has invalid value 'abc'"),
@@ -576,6 +637,7 @@ def _malformed_netlists():
         (string_t, "beam_splitter params: field 't' has invalid value '1+2j'"),
         (triple_t, "beam_splitter params: field 't' has invalid value [0.7071067811865476, 0.0, 3.0]"),
         (string_re, "state: field 're' has invalid value ['1.0', 0.0]"),
+        (absorbed_detector, "violation: detector port 'absorbed' is reserved for the absorbed outcome"),
     ]
 
 
@@ -586,7 +648,7 @@ def _malformed_netlists():
          "source-k0-missing", "grid-N-not-a-number", "grid-N-not-integral", "grid-N-too-large",
          "source-helicity-not-integral",
          "interface-negative-index", "out-port-a-number", "phi-true", "phi-numeric-string", "source-k0-numeric-string",
-         "t-complex-string", "t-three-entries", "source-re-not-numbers"],
+         "t-complex-string", "t-three-entries", "source-re-not-numbers", "detector-named-absorbed"],
 )
 def test_malformed_netlist_json_exits_2_naming_the_field(tmp_path, capsys, obj, message):
     netlist = write_json(tmp_path / "bad.json", obj)
@@ -703,9 +765,9 @@ def _out_of_memory(module, name, size):
 
 def _force_flux_defect(monkeypatch):
     # the non-conserving Fresnel pair under the default convention
-    real = cli_mod.optics.fresnel_interface
+    real = optics_mod.fresnel_interface
     monkeypatch.setattr(
-        cli_mod.optics, "fresnel_interface", lambda n1, n2, paper_convention=False: real(n1, n2, True)
+        optics_mod, "fresnel_interface", lambda n1, n2, paper_convention=False: real(n1, n2, True)
     )
 
 
@@ -729,9 +791,9 @@ def _force_flux_defect(monkeypatch):
         (("localized", "--dim", "1", "--k-max", "1.0"), 2,
          _out_of_memory(cli_mod.dens, "localized_density_1d", "--points")),
         (("circuit", "--netlist", "{mz}", "--samples", "100"), 2,
-         _out_of_memory(cli_mod.circ, "sample_outcomes", "--samples")),
+         _out_of_memory(circuit_mod, "sample_outcomes", "--samples")),
         (("momentum", "--state", "{gaussian}", "--chi", "1.25"), 2,
-         _out_of_memory(cli_mod.optics, "momentum_report", "--grid")),
+         _out_of_memory(optics_mod, "momentum_report", "--grid")),
         (("localized", "--dim", "3", "--k-max", "1", "--delta-t", "1e-320", "--points", "100"), 3, None),
         (("localized", "--dim", "1", "--k-max", "1", "--span", "1e308", "--points", "100"), 3, None),
     ],
@@ -955,7 +1017,7 @@ ledger_number = (finite | st.sampled_from(EDGE_FLOATS)).flatmap(
     lambda x: st.sampled_from([x, np.float64(x)])
 )
 ledger_id = st.text() | st.sampled_from(["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\U0001F600\u00e9", "ledger"])
-ledger_row = st.builds(cli_mod.circ.LedgerRow, ledger_id, ledger_number, ledger_number, ledger_number)
+ledger_row = st.builds(circuit_mod.LedgerRow, ledger_id, ledger_number, ledger_number, ledger_number)
 
 
 @st.composite

@@ -1,6 +1,7 @@
-"""Each script in scripts/ runs with small arguments and prints its table; circuit artifacts match recorded digests."""
+"""Each script in scripts/ runs with small arguments and prints its table; CLI artifacts match recorded digests."""
 
 import importlib.util
+import json
 import os
 import platform
 import subprocess
@@ -61,13 +62,19 @@ def _numpy_build():
 
 
 # The combined ("all") line of scripts/artifact_digest.py at seed 1, ops 0..1, for each run below, as
-# printed before the circuit parse, wiring map and run loop were rewritten for speed: the rewrite must
-# leave every exit code, error line and artifact byte as it was.
+# printed before the circuit parse, wiring map and run loop were rewritten for speed (the circuit runs) and
+# before the state reader and the subcommand imports were reorganized (the density and localized runs): a
+# rewrite must leave every exit code, error line and artifact byte as it was.  The density and localized
+# tables are large enough to be written by the forked CSV writer.
 DIGEST_RUNS = [
     ("circuit_mesh",),
     ("circuit_sweep",),
     ("circuit_mesh", "--units", "si"),
     ("circuit_mesh", "--paper-convention"),
+    ("density_cli",),
+    ("density_cli", "--units", "si"),
+    ("localized_cli",),
+    ("localized_cli", "--units", "si"),
 ]
 RECORDED_DIGESTS = {
     ("2.4.6", "x86_64", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): [
@@ -75,16 +82,26 @@ RECORDED_DIGESTS = {
         "c5af082f3f4f6a29e09ffbfc11ef4c644b586a6e5657b13b17e65385749de40c",
         "79337df7b4066125cb56e07c90a88b1708de761d7b87e50ccaf659dc18657bf8",
         "b1db63fdc9addf1b85f4c485ae57bbffb7c65a32593483565c0c9a4023beab38",
+        "c9fd644b20371192b484f84490c19a4d79b2bef42947424dedf106f642b9aa0f",
+        "2c840ef0d98693832d3abd5b9e8b1d86d38667cf0a3129884480b3c71dedf66a",
+        "ad570f33f2da486f123a69e0011a3666ad669ef80c8a5dbda073cd412c7bde9d",
+        "465b69e0de639bdf0dd5c61a0272fd62f917730fe22805ca27c2e551d0f33f6a",
     ],
 }
 
 
-def _circuit_digests(monkeypatch, capsys) -> list:
-    """The "all" digest of each of DIGEST_RUNS, from artifact_digest.py run in this process."""
+def _digest_script(monkeypatch):
+    """scripts/artifact_digest.py, loaded as a module of this process."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src and bench first
     spec = importlib.util.spec_from_file_location("artifact_digest", ROOT / "scripts" / "artifact_digest.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def _workload_digests(monkeypatch, capsys) -> list:
+    """The "all" digest of each of DIGEST_RUNS, from artifact_digest.py run in this process."""
+    script = _digest_script(monkeypatch)
     digests = []
     for workload, *flags in DIGEST_RUNS:
         monkeypatch.setattr(sys, "argv", ["artifact_digest.py", "--workload", workload, "--seed", "1", "--ops", "2",
@@ -96,12 +113,124 @@ def _circuit_digests(monkeypatch, capsys) -> list:
     return digests
 
 
-def test_circuit_artifacts_match_the_recorded_digests(monkeypatch, capsys):
-    digests = _circuit_digests(monkeypatch, capsys)
+def test_workload_artifacts_match_the_recorded_digests(monkeypatch, capsys):
+    digests = _workload_digests(monkeypatch, capsys)
     recorded = RECORDED_DIGESTS.get(_numpy_build())
     if recorded is not None:
         assert digests == recorded
         return
     # another numpy or CPU may round differently, so only repeatability can be checked here
     warnings.warn(f"no digests recorded for numpy build {_numpy_build()}: checked that two runs agree instead")
-    assert _circuit_digests(monkeypatch, capsys) == digests
+    assert _workload_digests(monkeypatch, capsys) == digests
+
+
+def _gaussian_amplitude(n: int, dk: float, area: float, k0: float, sigma: float) -> dict:
+    """An ``amplitude`` state spec built with numpy alone, so the input does not depend on photonflux."""
+    k = dk * np.arange(1, n + 1)
+    c = np.exp(-((k - k0) ** 2) / (4.0 * sigma**2)) * np.exp(-1j * k * np.pi / dk)
+    c /= np.sqrt((np.abs(c) ** 2).sum() * dk / (2.0 * np.pi))
+    return {"kind": "amplitude", "N": n, "dk": dk, "area": area, "helicity": -1,
+            "re": c.real.tolist(), "im": c.imag.tolist()}
+
+
+GAUSSIAN = {"kind": "gaussian", "k0": 600.0, "sigma": 20.0}
+MZ_LOSSY = {
+    "grid": {"N": 256, "dk": 1.0, "area": 1.0},
+    "elements": [
+        {"id": "bs1", "kind": "beam_splitter", "params": {"t": 2**-0.5, "r": 2**-0.5}, "in": ["src", "vac"],
+         "out": ["a", "b"]},
+        {"id": "ps", "kind": "phase_shifter", "params": {"phi": 0.7}, "in": ["a"], "out": ["a2"]},
+        {"id": "med", "kind": "medium_segment", "params": {"chi": [1.25, 0.01], "length": 2.0}, "in": ["b"],
+         "out": ["b2"]},
+        {"id": "bs2", "kind": "beam_splitter", "params": {"t": 2**-0.5, "r": 2**-0.5}, "in": ["a2", "b2"],
+         "out": ["d_dark", "d_bright"]},
+    ],
+    "sources": [{"port": "src", "state": {"kind": "gaussian", "k0": 60.0, "sigma": 6.0}}],
+    "detectors": ["d_dark", "d_bright"],
+    "vacuum": ["vac"],
+}
+# the JSON inputs the golden runs name as {key}
+GOLDEN_INPUTS = {
+    "gaussian": GAUSSIAN,
+    "zero": {"kind": "zero", "helicity": -1},
+    "amplitude": _gaussian_amplitude(1024, 2.0, 1.5, 600.0, 20.0),
+    "mz": MZ_LOSSY,
+    "bad_gaussian": {"kind": "gaussian", "k0": 600.0},
+    "bad_zero": {"kind": "zero", "helicity": "+1"},
+    "bad_amplitude": {**_gaussian_amplitude(64, 1.0, 1.0, 30.0, 2.0), "im": [0.0] * 63},
+}
+# (case, exit code, argv after --out): runs of the subcommands and inputs the workloads do not draw
+GOLDEN_RUNS = [
+    ("fresnel-lossless", 0, ["fresnel", "--n1", "1", "--n2", "1.5"]),
+    ("fresnel-lossless-paper", 0, ["fresnel", "--n1", "1", "--n2", "1.5", "--paper-convention"]),
+    ("fresnel-lossy", 0, ["fresnel", "--n1", "1", "--n2", "1.5,0.2"]),
+    ("fresnel-lossy-paper", 0, ["fresnel", "--n1", "1", "--n2", "1.5,0.2", "--paper-convention"]),
+    ("momentum-real-chi", 0, ["momentum", "--state", "{gaussian}", "--chi", "1.25"]),
+    ("momentum-complex-chi", 0, ["--units", "si", "momentum", "--state", "{gaussian}", "--chi", "1.25,0.05"]),
+    ("density-zero", 0, ["--grid", "1024,1.0,1.0", "density", "--state", "{zero}"]),
+    ("density-amplitude", 0, ["density", "--state", "{amplitude}", "--time", "0.5"]),
+    ("circuit-samples-seed-1", 0, ["--seed", "1", "circuit", "--netlist", "{mz}", "--samples", "1000"]),
+    ("circuit-samples-seed-2", 0, ["--seed", "2", "circuit", "--netlist", "{mz}", "--samples", "1000"]),
+    ("malformed-gaussian", 2, ["density", "--state", "{bad_gaussian}"]),
+    ("malformed-zero", 2, ["density", "--state", "{bad_zero}"]),
+    ("malformed-amplitude", 2, ["density", "--state", "{bad_amplitude}"]),
+]
+# each case's sha256 by artifact_digest.op_digest's rule (exit code, stderr, then every artifact's path and
+# bytes), as printed before the state reader and the subcommand imports were reorganized
+RECORDED_GOLDEN = {
+    ("2.4.6", "x86_64", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): {
+        "fresnel-lossless": "3be654724b111e0422df38b5bbe5b73109ffe0a9a063f599bad3c6936a21e03e",
+        "fresnel-lossless-paper": "eb0fb56077b73d13d18d97677ce0b1f6f1320339ef99038d0fa55c5502d924ca",
+        "fresnel-lossy": "1a8c5324f15b5f59e6d1ab1dd1a463d5d4b705c4fe2e54f72667a07fb07cf0ff",
+        "fresnel-lossy-paper": "6a148b65e53e3b80c4777836631e7a3253695bf4957205c9843a1a51b8481a7e",
+        "momentum-real-chi": "092f9156138dc852aa3f1e40fd378a26288400a7768493dd6a39779ab7c57e77",
+        "momentum-complex-chi": "5c18387595967e87412fb9b7f0f7887266347fd904594721f0e81ad6b5726d1d",
+        "density-zero": "ed43f02809ad2a8e6085faa1c786a4eb0d39361fcf17b70295d4b958a9397775",
+        "density-amplitude": "54c1253d837c0721f5f014603dfaa8fb97b941421d16f3fd3802362bde7e6984",
+        "circuit-samples-seed-1": "620ccb23afa1f6b3276aa260eb37ae99b0a26c036c204fe55024501cbbada78c",
+        "circuit-samples-seed-2": "51b4806d2b3b051d537267eda6753eb5851470c481b025f47a82d5416960f0de",
+        "malformed-gaussian": "12e1338698f90cd244c3500d5002d81cc7efff8abb9ac4c9b8ec51b5ce312441",
+        "malformed-zero": "cc0a99faf3037cf8346a6f8dcf8cfb8aee031b49f90dc84796b541513b318993",
+        "malformed-amplitude": "ad7e0211ed15b20c04c0ccef24916e1eb7bf545f38895d9866a1e6a336b5f9c1",
+    },
+}
+
+
+class _Run:
+    """One CLI call, in the shape ``op_digest`` runs: ``argvs(out)`` lists its argvs."""
+
+    def __init__(self, argv):
+        self.argv = argv
+
+    def argvs(self, out: Path) -> list:
+        return [["--out", str(out), *self.argv]]
+
+
+def _golden_digests(script, inputs: dict, work: Path) -> dict:
+    """case -> (exit code, digest) for each of GOLDEN_RUNS, each run into a fresh directory under ``work``."""
+    digests = {}
+    for case, _, argv in GOLDEN_RUNS:
+        out = work / case
+        out.mkdir(parents=True)
+        (code,), digest = script.op_digest(_Run([a.format(**inputs) for a in argv]), out, None, False)
+        digests[case] = code, digest
+    return digests
+
+
+def test_subcommand_artifacts_match_the_recorded_digests(monkeypatch, tmp_path):
+    script = _digest_script(monkeypatch)
+    inputs = {}
+    for key, obj in GOLDEN_INPUTS.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(obj))
+        inputs[key] = str(path)
+    runs = _golden_digests(script, inputs, tmp_path / "first")
+    assert {case: code for case, (code, _) in runs.items()} == {case: code for case, code, _ in GOLDEN_RUNS}
+    digests = {case: digest for case, (_, digest) in runs.items()}
+    recorded = RECORDED_GOLDEN.get(_numpy_build())
+    if recorded is not None:
+        assert digests == recorded
+        return
+    # another numpy or CPU may round differently, so only repeatability can be checked here
+    warnings.warn(f"no digests recorded for numpy build {_numpy_build()}: checked that two runs agree instead")
+    assert _golden_digests(script, inputs, tmp_path / "second") == runs

@@ -21,7 +21,7 @@ from photonflux import (
     synthesize_fields,
 )
 from photonflux.errors import DimensionError, DomainError, GridCoverageError
-from photonflux.spectral import json_complex, json_int, json_names, json_number
+from photonflux.spectral import json_complex, json_int, json_names, json_number, state_from_spec
 from photonflux.units import NATURAL
 
 from conftest import random_band_state
@@ -276,8 +276,8 @@ def test_localized_states_orthonormal(grid):
 
 def test_json_round_trip(small_grid):
     state = make_gaussian_state(60.0, 6.0, small_grid, helicity=-1)
-    blob = json.loads(state.dumps())
-    back = SpectralAmplitude.from_json(blob)
+    blob = json.loads(json.dumps({"kind": "amplitude", **state.to_json()}))
+    back = state_from_spec(blob, KGrid1D(n=4, dk=1.0))  # an amplitude state carries its own grid
     assert back.grid == state.grid
     assert back.helicity == -1
     np.testing.assert_array_equal(back.c, state.c)
