@@ -481,6 +481,9 @@ def netlist_from_json(obj: dict, default_grid: KGrid1D | None = None) -> Netlist
         raise NetlistError(f"exactly one source required, got {len(sources)}")
     src = sources[0]
     state = state_from_spec(json_field(src, "state", json_object, "source"), grid)
+    if g is not None and state.grid != grid:
+        # an amplitude state carries its own grid, and the circuit runs on the source's grid
+        raise NetlistError(f"source: state grid {state.grid} differs from the netlist grid {grid}")
 
     elements = tuple(map(_element_from_json, json_field(obj, "elements", json_list, "netlist", [])))
     return Netlist(

@@ -1,12 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: density, localized, circuit, fresnel, momentum.  All output is
-CSV/JSON written under --out; runs are deterministic for a given config and
-seed.  Exit codes: 0 success, 2 input or validation error (including
-malformed JSON, numeric flags that are non-finite, do not parse or
-exceed their ceiling, and sizes that exhaust memory), 3 numerical
-invariant violated (including a non-finite result).  Each ``cmd_*``
-raises a :class:`PhotonfluxError` on bad input and an
+CSV/JSON written under --out by :func:`_write_run` alone, which checks and
+renders every result first, so a failed run leaves none of its files; runs
+are deterministic for a given config and seed.  Exit codes: 0 success, 2
+input or validation error (including malformed JSON, numeric flags that are
+non-finite, do not parse or exceed their ceiling, and sizes that exhaust
+memory), 3 numerical invariant violated (including a non-finite result).
+Each ``cmd_*`` raises a :class:`PhotonfluxError` on bad input and an
 :class:`InvariantError` on a broken invariant; :func:`main` alone turns
 the outcome into an exit code and one ``error: ...`` line on stderr.
 ``circuit`` and ``optics`` are imported inside the subcommands that run
@@ -81,8 +82,37 @@ _LEDGER_ROW = '\n    {\n      "absorbed": %s,\n      "element": %s,\n      "numb
 _LEDGER_SLOT = '\n  "ledger": []'
 
 
-def _write_json(path: Path, payload: dict, ledger=None) -> None:
-    """Write ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
+def _write_run(out: Path, tables: dict, name: str, payload: dict, ledger=None) -> None:
+    """Write one run's artifacts: the only code that creates ``out`` or writes in it.
+
+    ``tables`` maps each CSV file name to ``(comment line, {column name:
+    float array})``.  The first non-finite column, in table order, raises
+    :class:`InvariantError`, and so does a NaN or infinity in the JSON text
+    of ``name``, rendered next; only then is ``out`` created and the tables
+    and the JSON written.  If a write fails, the files written are removed.
+    """
+    for _, columns in tables.values():
+        for column, values in columns.items():
+            if not np.isfinite(values).all():
+                raise InvariantError(f"non-finite result: {column}")
+    text = _render_json(name, payload, ledger)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        for table, (comment, columns) in tables.items():
+            dens.write_density_csv(out / table, f"{comment}{','.join(columns)}\n", tuple(columns.values()))
+            written.append(out / table)
+        with open(out / name, "w") as fh:
+            written.append(out / name)
+            fh.write(text)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
+def _render_json(name: str, payload: dict, ledger=None) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
 
     ``ledger``, if given, holds the ``LedgerRow``s of the payload's
     ``"ledger"`` list.  The rest of the payload is dumped with an empty list
@@ -91,31 +121,23 @@ def _write_json(path: Path, payload: dict, ledger=None) -> None:
     the same bytes, without a dict per row or the pure-Python encoder's
     walk over them.  A non-finite row value falls back to the full
     ``json.dumps``, so a NaN or infinity anywhere raises the same
-    :class:`InvariantError`, before the file is opened.
+    :class:`InvariantError`, naming the artifact ``name``.
     """
     try:
-        text = _dumps(payload) if ledger is None else _dumps_with_ledger(payload, ledger)
+        items = None if ledger is None else _ledger_items(ledger)
+        if items is None and ledger is not None:
+            payload = {**payload, "ledger": [{"element": r.element_id, "number_in": r.number_in,
+                                              "number_out": r.number_out, "absorbed": r.absorbed} for r in ledger]}
+        text = _dumps(payload if items is None else {**payload, "ledger": []})
     except ValueError as exc:
-        raise InvariantError(f"{path.name}: {exc}") from None
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+        raise InvariantError(f"{name}: {exc}") from None
+    if items:
+        text = text.replace(_LEDGER_SLOT, f'\n  "ledger": [{items}\n  ]', 1)
+    return text + "\n"
 
 
 def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-
-
-def _dumps_with_ledger(payload: dict, rows) -> str:
-    """``_dumps`` of ``payload`` with ``rows`` as its ``"ledger"`` list of objects."""
-    items = _ledger_items(rows)
-    if items is None:
-        ledger = [{"element": r.element_id, "number_in": r.number_in, "number_out": r.number_out,
-                   "absorbed": r.absorbed} for r in rows]
-        return _dumps({**payload, "ledger": ledger})
-    text = _dumps({**payload, "ledger": []})
-    if not rows:
-        return text
-    return text.replace(_LEDGER_SLOT, f'\n  "ledger": [{items}\n  ]', 1)
 
 
 def _ledger_items(rows) -> str | None:
@@ -138,9 +160,9 @@ def _ledger_items(rows) -> str | None:
         return None  # a value that is not a float, or an id that is not a str
 
 
-def _csv_header(t: float, k_max: float, units, columns: str) -> str:
-    """The ``# t=... k_max=... units=...`` comment line and the column-name line."""
-    return f"# t={float(t)!r} k_max={float(k_max)!r} units={units.mode}\n{columns}\n"
+def _comment_line(t: float, k_max: float, units) -> str:
+    """The ``# t=... k_max=... units=...`` line that heads a table's column names."""
+    return f"# t={float(t)!r} k_max={float(k_max)!r} units={units.mode}\n"
 
 
 def _load_state_spec(path: str, grid: spec.KGrid1D) -> spec.SpectralAmplitude:
@@ -166,23 +188,11 @@ def cmd_density(args) -> None:
     else:
         residual = 0.0
 
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    x = state.grid.x
-    density_csv = out / "density.csv"
-    dens.write_density_csv(
-        density_csv, _csv_header(t, state.grid.k_max, units, "x,rho,J"), (x, field.rho, current)
-    )
-    a, e = fields.a_plus, fields.e_plus
-    try:
-        dens.write_density_csv(
-            out / "fields.csv", "x,re(A+),im(A+),re(E+),im(E+)\n", (x, a.real, a.imag, e.real, e.imag)
-        )
-    except BaseException:
-        # the two tables are one artifact: without fields.csv, density.csv goes too
-        density_csv.unlink()
-        raise
-
+    x, a, e = state.grid.x, fields.a_plus, fields.e_plus
+    tables = {
+        "density.csv": (_comment_line(t, state.grid.k_max, units), {"x": x, "rho": field.rho, "J": current}),
+        "fields.csv": ("", {"x": x, "re(A+)": a.real, "im(A+)": a.imag, "re(E+)": e.real, "im(E+)": e.imag}),
+    }
     total = field.total()
     summary = {
         "photon_number": number,
@@ -193,7 +203,7 @@ def cmd_density(args) -> None:
         "time": t,
         "units": units.mode,
     }
-    _write_json(out / "summary.json", summary)
+    _write_run(args.out, tables, "summary.json", summary)
     if number > 0.0 and abs(total - number) > 1e-8 * number:
         raise InvariantError(f"density integral {total!r} disagrees with photon number {number!r}")
 
@@ -231,18 +241,8 @@ def cmd_localized(args) -> None:
         }
     summary = {"dim": args.dim, "k_max": k_max, "window_halfwidth": window, "units": units.mode, **measures}
     columns = {"u": coords, "re(rho+)": rho_plus.real, "im(rho+)": rho_plus.imag, "rho": rho_phys}
-    # a NaN or infinity is reported instead of written, so no artifact precedes this check
-    for name, values in (columns | {"window_halfwidth": window} | measures).items():
-        if not np.isfinite(values).all():
-            raise InvariantError(f"non-finite result: {name}")
-
-    # the measures above can reject the window, so --out is created only after them
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    dens.write_density_csv(
-        out / "localized.csv", _csv_header(dt, k_max, units, ",".join(columns)), tuple(columns.values())
-    )
-    _write_json(out / "localized_summary.json", summary)
+    _write_run(args.out, {"localized.csv": (_comment_line(dt, k_max, units), columns)}, "localized_summary.json",
+               summary)
 
 
 def cmd_circuit(args) -> None:
@@ -270,8 +270,7 @@ def cmd_circuit(args) -> None:
     if args.samples:
         result["samples"] = circ.sample_outcomes(pulse, args.seed, args.samples)
         result["seed"] = args.seed
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_json(args.out / "circuit_result.json", result, ledger=ledger.rows)
+    _write_run(args.out, {}, "circuit_result.json", result, ledger=ledger.rows)
     if not args.paper_convention and abs(conservation - 1.0) > circ.CONSERVATION_TOL:
         raise InvariantError(f"conservation violated: detectors + absorbed = {conservation!r}")
 
@@ -292,8 +291,7 @@ def cmd_fresnel(args) -> None:
         "conservation_defect": budget.defect,
         "convention": budget.convention,
     }
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_json(args.out / "fresnel.json", result)
+    _write_run(args.out, {}, "fresnel.json", result)
     lossless = n1.imag == 0.0 and n2.imag == 0.0
     if not args.paper_convention and lossless and abs(budget.defect) > 1e-12:
         raise InvariantError(f"flux conservation defect {budget.defect!r}")
@@ -313,8 +311,7 @@ def cmd_momentum(args) -> None:
         "chi": [chi.real, chi.imag],
         "units": args.units.mode,
     }
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_json(args.out / "momentum.json", result)
+    _write_run(args.out, {}, "momentum.json", result)
 
 
 @functools.cache

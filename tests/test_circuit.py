@@ -808,6 +808,20 @@ def test_netlist_requires_exactly_one_source():
         netlist_from_json(obj)
 
 
+def test_declared_grid_must_be_the_amplitude_sources_grid():
+    amplitude = source(KGrid1D(n=128, dk=1.0)).to_json() | {"kind": "amplitude"}
+    obj = mz_json()
+    obj["sources"][0]["state"] = amplitude
+    with pytest.raises(NetlistError, match=r"^source: state grid KGrid1D\(n=128, dk=1.0, area=1.0\) differs from "
+                                           r"the netlist grid KGrid1D\(n=256, dk=1.0, area=1.0\)$"):
+        netlist_from_json(obj)
+    # the same grid declared, or none, runs on the source's own grid as before
+    obj["grid"]["N"] = 128
+    assert netlist_from_json(obj).source_state.grid == KGrid1D(n=128, dk=1.0)
+    del obj["grid"]
+    assert netlist_from_json(obj, default_grid=KGrid1D(n=256, dk=1.0)).source_state.grid == KGrid1D(n=128, dk=1.0)
+
+
 def test_unknown_element_kind_rejected():
     obj = mz_json()
     obj["elements"][0]["kind"] = "wormhole"

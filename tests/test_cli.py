@@ -221,20 +221,22 @@ def test_circuit_computes_violations_once(tmp_path, monkeypatch):
     assert len(computed) == 1
 
 
+# t = 2 n_in / (n_in + n_out) underflows to 0 and sqrt(n_out / n_in) overflows: t * sqrt is NaN
+NAN_INTERFACE_NETLIST = {
+    "grid": {"N": 64, "dk": 1.0, "area": 1.0},
+    "elements": [
+        {"id": "ps", "kind": "phase_shifter", "params": {"phi": 0.5}, "in": ["src"], "out": ["d"]},
+        {"id": "if", "kind": "interface", "params": {"n_in": 1e-300, "n_out": 1e300},
+         "in": ["vac"], "out": ["t", "r"]},
+    ],
+    "sources": [{"port": "src", "state": {"kind": "gaussian", "k0": 30.0, "sigma": 2.0}}],
+    "detectors": ["d", "t", "r"],
+    "vacuum": ["vac"],
+}
+
+
 def test_circuit_nan_on_a_vacuum_arm_exits_3_without_writing_json(tmp_path, capsys):
-    # t = 2 n_in / (n_in + n_out) underflows to 0 and sqrt(n_out / n_in) overflows: t * sqrt is NaN
-    obj = {
-        "grid": {"N": 64, "dk": 1.0, "area": 1.0},
-        "elements": [
-            {"id": "ps", "kind": "phase_shifter", "params": {"phi": 0.5}, "in": ["src"], "out": ["d"]},
-            {"id": "if", "kind": "interface", "params": {"n_in": 1e-300, "n_out": 1e300},
-             "in": ["vac"], "out": ["t", "r"]},
-        ],
-        "sources": [{"port": "src", "state": {"kind": "gaussian", "k0": 30.0, "sigma": 2.0}}],
-        "detectors": ["d", "t", "r"],
-        "vacuum": ["vac"],
-    }
-    netlist = write_json(tmp_path / "nan.json", obj)
+    netlist = write_json(tmp_path / "nan.json", NAN_INTERFACE_NETLIST)
     code, out = run(tmp_path, "circuit", "--netlist", netlist)
     assert code == 3
     err = "error: circuit_result.json: Out of range float values are not JSON compliant: nan\n"
@@ -522,6 +524,59 @@ def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys):
     assert not (out / "fresnel.json").exists()
 
 
+# a 64-bin amplitude state whose photon number overflows: its density, fields and momenta are infinite or NaN
+HUGE_AMPLITUDE = {"kind": "amplitude", "N": 64, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [1e200] * 64,
+                  "im": [0.0] * 64}
+OUT_OF_RANGE = "Out of range float values are not JSON compliant"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("density", "--state", "{huge}"), "non-finite result: rho"),
+        (("momentum", "--state", "{huge}", "--chi", "1.25"), f"momentum.json: {OUT_OF_RANGE}: inf"),
+        (("circuit", "--netlist", "{nan_netlist}"), f"circuit_result.json: {OUT_OF_RANGE}: nan"),
+        (("fresnel", "--n1", "1e308", "--n2", "1e308"), f"fresnel.json: {OUT_OF_RANGE}: nan"),
+        (("localized", "--dim", "3", "--k-max", "1", "--delta-t", "1e-320", "--points", "100"),
+         "non-finite result: re(rho+)"),
+        (("localized", "--dim", "1", "--k-max", "1", "--span", "1e308", "--points", "100"), "non-finite result: u"),
+    ],
+    ids=["density", "momentum", "circuit", "fresnel", "localized-3d", "localized-1d"],
+)
+def test_non_finite_result_exits_3_and_leaves_no_out(tmp_path, capsys, args, error):
+    paths = {"huge": write_json(tmp_path / "huge.json", HUGE_AMPLITUDE),
+             "nan_netlist": write_json(tmp_path / "nan.json", NAN_INTERFACE_NETLIST)}
+    code, out = run(tmp_path, *(a.format(**paths) for a in args))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (("density", "--state", "{gaussian}"), "summary.json"),
+        (("localized", "--dim", "1", "--k-max", "1.0"), "localized_summary.json"),
+        (("localized", "--dim", "3", "--k-max", "1.0", "--delta-t", "50"), "localized_summary.json"),
+        (("circuit", "--netlist", "{mz}"), "circuit_result.json"),
+        (("fresnel", "--n1", "1", "--n2", "1.5"), "fresnel.json"),
+        (("momentum", "--state", "{gaussian}", "--chi", "1.25"), "momentum.json"),
+    ],
+    ids=["density", "localized-1d", "localized-3d", "circuit", "fresnel", "momentum"],
+)
+def test_failed_json_write_exits_2_and_leaves_none_of_the_runs_files(tmp_path, capsys, args, name):
+    paths = {"gaussian": write_json(tmp_path / "gaussian.json", GAUSSIAN_SPEC),
+             "mz": write_json(tmp_path / "mz.json", mz_netlist(0.3))}
+    # a directory where the JSON artifact goes: the tables are written, then opening the JSON fails
+    blocked = tmp_path / "out" / name
+    blocked.mkdir(parents=True)
+    code, out = run(tmp_path, *(a.format(**paths) for a in args))
+    assert code == 2
+    error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked))
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(out.iterdir()) == [blocked]
+
+
 def test_main_builds_the_parser_once(tmp_path):
     cli_mod.build_parser.cache_clear()
     for _ in range(2):
@@ -617,6 +672,9 @@ def _malformed_netlists():
     absorbed_detector = mz_netlist(0.3)
     absorbed_detector["elements"][2]["out"] = ["absorbed", "d_bright"]
     absorbed_detector["detectors"] = ["absorbed", "d_bright"]
+    amplitude_off_grid = mz_netlist(0.3)
+    amplitude_off_grid["sources"][0]["state"] = {"kind": "amplitude", "N": 64, "dk": 1.0, "area": 1.0, "helicity": 1,
+                                                 "re": [1.0] + [0.0] * 63, "im": [0.0] * 64}
     return [
         (top_list, "netlist must be a JSON object, got list"),
         (bad_phi, "phase_shifter params: field 'phi' has invalid value 'abc'"),
@@ -638,6 +696,8 @@ def _malformed_netlists():
         (triple_t, "beam_splitter params: field 't' has invalid value [0.7071067811865476, 0.0, 3.0]"),
         (string_re, "state: field 're' has invalid value ['1.0', 0.0]"),
         (absorbed_detector, "violation: detector port 'absorbed' is reserved for the absorbed outcome"),
+        (amplitude_off_grid, "source: state grid KGrid1D(n=64, dk=1.0, area=1.0) differs from the netlist grid "
+                             "KGrid1D(n=256, dk=1.0, area=1.0)"),
     ]
 
 
@@ -648,7 +708,8 @@ def _malformed_netlists():
          "source-k0-missing", "grid-N-not-a-number", "grid-N-not-integral", "grid-N-too-large",
          "source-helicity-not-integral",
          "interface-negative-index", "out-port-a-number", "phi-true", "phi-numeric-string", "source-k0-numeric-string",
-         "t-complex-string", "t-three-entries", "source-re-not-numbers", "detector-named-absorbed"],
+         "t-complex-string", "t-three-entries", "source-re-not-numbers", "detector-named-absorbed",
+         "grid-differs-from-amplitude-source"],
 )
 def test_malformed_netlist_json_exits_2_naming_the_field(tmp_path, capsys, obj, message):
     netlist = write_json(tmp_path / "bad.json", obj)
@@ -1058,9 +1119,9 @@ def test_ledger_template_writes_what_json_dumps_writes(payload, rows, planted):
             expected = json.dumps(payload | {"ledger": ledger}, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:
             with pytest.raises(cli_mod.InvariantError) as caught:
-                cli_mod._write_json(path, payload, ledger=tuple(rows))
+                cli_mod._write_run(Path(tmp), {}, path.name, payload, ledger=tuple(rows))
             assert str(caught.value) == f"circuit_result.json: {exc}"
             assert not path.exists()
         else:
-            cli_mod._write_json(path, payload, ledger=tuple(rows))
+            cli_mod._write_run(Path(tmp), {}, path.name, payload, ledger=tuple(rows))
             assert path.read_bytes() == (expected + "\n").encode()

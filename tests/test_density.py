@@ -27,7 +27,7 @@ from photonflux import (
     tail_mass,
 )
 import photonflux.density as density
-from photonflux.cli import _csv_header
+from photonflux.cli import _comment_line
 from photonflux.density import _CSV_BLOCK_ROWS, write_density_csv
 from photonflux.errors import DimensionError, DomainError, StepSizeError
 from photonflux.units import NATURAL
@@ -476,7 +476,7 @@ def test_density_csv_header(tmp_path, grid):
     field = density_field(g, g, 0.0)
     current = current_field(g, g, 0.0)
     path = tmp_path / "density.csv"
-    write_density_csv(path, _csv_header(0.25, grid.k_max, NATURAL, "x,rho,J"), (field.x, field.rho, current))
+    write_density_csv(path, _comment_line(0.25, grid.k_max, NATURAL) + "x,rho,J\n", (field.x, field.rho, current))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# t=0.25 k_max=")
     assert "units=natural" in lines[0]

@@ -158,6 +158,21 @@ GOLDEN_INPUTS = {
     "bad_gaussian": {"kind": "gaussian", "k0": 600.0},
     "bad_zero": {"kind": "zero", "helicity": "+1"},
     "bad_amplitude": {**_gaussian_amplitude(64, 1.0, 1.0, 30.0, 2.0), "im": [0.0] * 63},
+    # a photon number that overflows: every density, field and momentum is infinite or NaN
+    "huge_amplitude": {"kind": "amplitude", "N": 64, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [1e200] * 64,
+                       "im": [0.0] * 64},
+    # t = 2 n_in / (n_in + n_out) underflows to 0 and sqrt(n_out / n_in) overflows: a NaN on the vacuum arm
+    "nan_interface": {
+        "grid": {"N": 64, "dk": 1.0, "area": 1.0},
+        "elements": [
+            {"id": "ps", "kind": "phase_shifter", "params": {"phi": 0.5}, "in": ["src"], "out": ["d"]},
+            {"id": "if", "kind": "interface", "params": {"n_in": 1e-300, "n_out": 1e300}, "in": ["vac"],
+             "out": ["t", "r"]},
+        ],
+        "sources": [{"port": "src", "state": {"kind": "gaussian", "k0": 30.0, "sigma": 2.0}}],
+        "detectors": ["d", "t", "r"],
+        "vacuum": ["vac"],
+    },
 }
 # (case, exit code, argv after --out): runs of the subcommands and inputs the workloads do not draw
 GOLDEN_RUNS = [
@@ -174,9 +189,12 @@ GOLDEN_RUNS = [
     ("malformed-gaussian", 2, ["density", "--state", "{bad_gaussian}"]),
     ("malformed-zero", 2, ["density", "--state", "{bad_zero}"]),
     ("malformed-amplitude", 2, ["density", "--state", "{bad_amplitude}"]),
+    ("density-non-finite", 3, ["density", "--state", "{huge_amplitude}"]),
+    ("circuit-nan-interface", 3, ["circuit", "--netlist", "{nan_interface}"]),
 ]
 # each case's sha256 by artifact_digest.op_digest's rule (exit code, stderr, then every artifact's path and
-# bytes), as printed before the state reader and the subcommand imports were reorganized
+# bytes), as printed before the state reader and the subcommand imports were reorganized; the two non-finite
+# cases, recorded when every subcommand came to write through one checked path, pin an exit 3 with no artifact
 RECORDED_GOLDEN = {
     ("2.4.6", "x86_64", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): {
         "fresnel-lossless": "3be654724b111e0422df38b5bbe5b73109ffe0a9a063f599bad3c6936a21e03e",
@@ -192,6 +210,8 @@ RECORDED_GOLDEN = {
         "malformed-gaussian": "12e1338698f90cd244c3500d5002d81cc7efff8abb9ac4c9b8ec51b5ce312441",
         "malformed-zero": "cc0a99faf3037cf8346a6f8dcf8cfb8aee031b49f90dc84796b541513b318993",
         "malformed-amplitude": "ad7e0211ed15b20c04c0ccef24916e1eb7bf545f38895d9866a1e6a336b5f9c1",
+        "density-non-finite": "0ee61dd96aba9fbef82ec61d32cdb784f720fec8aa5253e6a9615f2f1fc23208",
+        "circuit-nan-interface": "42fed1697d683804ad8d9ceb85abc600adb99acfde53656dea55b3a1ff75676b",
     },
 }
 
