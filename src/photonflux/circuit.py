@@ -10,7 +10,6 @@ number in, number out and what was absorbed.
 """
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +42,7 @@ from .spectral import (
     json_str,
     photon_number,
     photon_number_of,
+    read_json,
     state_from_spec,
 )
 from .units import NATURAL, UnitsConfig
@@ -496,5 +496,4 @@ def netlist_from_json(obj: dict, default_grid: KGrid1D | None = None) -> Netlist
 
 
 def load_netlist(path, default_grid: KGrid1D | None = None) -> Netlist:
-    with open(path) as fh:
-        return netlist_from_json(json.load(fh), default_grid)
+    return netlist_from_json(read_json(path), default_grid)

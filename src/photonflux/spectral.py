@@ -11,6 +11,7 @@ number-density bilinear in :mod:`photonflux.density` integrates exactly to
 this photon number; see ``synthesize_fields``.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -96,6 +97,20 @@ class SpectralAmplitude:
 
 
 REQUIRED = object()
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; the one reader of an input file.
+
+    Its bytes are decoded as strict UTF-8 (RFC 8259), whatever the locale.  A
+    file json cannot read raises one NetlistError, ``{path}: {the decoder's message}``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers a syntax error, a UTF-8 BOM, bytes that are not UTF-8 and the integer digit limit
+        raise NetlistError(f"{path}: {exc}") from None
 
 
 def json_fields(obj, where: str, fields) -> list:

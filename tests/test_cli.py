@@ -63,6 +63,16 @@ def test_density_zero_state(tmp_path):
     assert all(row.split(",")[1] == "0.0" for row in rows)
 
 
+@pytest.mark.parametrize("grid", ["1024,1e306,1.0", "2,5e-324,1.0"], ids=["dx-zero", "dx-infinite"])
+def test_density_zero_state_on_a_degenerate_grid_exits_2_like_a_gaussian(tmp_path, capsys, grid):
+    # the zero state takes the continuity step every state takes, so a grid with no usable dx is bad input
+    for spec in ({"kind": "zero"}, GAUSSIAN_SPEC):
+        code, out = run(tmp_path, "--grid", grid, "density", "--state", write_json(tmp_path / "state.json", spec))
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", [photonflux.KGrid1D(8192, 0.5, 2.0), photonflux.KGrid1D(1024, 2.0, 1.0)],
                          ids=["larger-N", "smaller-N"])
 def test_density_csvs_use_the_amplitude_state_grid(tmp_path, grid):
@@ -87,13 +97,6 @@ def test_density_header_and_continuity_step_use_the_amplitude_state_grid(tmp_pat
     state = cli_mod.spec.state_from_spec(amplitude, grid)
     expected = cli_mod.dens.continuity_residual(state, 0.0, grid.dx / 256.0, cli_mod.units_for("natural"))
     assert json.loads((out / "summary.json").read_text())["continuity_residual"] == expected
-
-
-def test_density_malformed_spec_exits_2(tmp_path):
-    bad = tmp_path / "state.json"
-    bad.write_text("{not json")
-    code, _ = run(tmp_path, "density", "--state", str(bad))
-    assert code == 2
 
 
 def test_density_missing_file_exits_2(tmp_path):
@@ -969,12 +972,18 @@ ALL_KINDS_NETLIST = {
 
 
 def run_fuzzed_json(obj, *argv):
-    """Exit code of one run on ``obj`` written as the {json} argument; one error line iff nonzero.
+    """Exit code of one run on ``obj`` written as the {json} argument; see :func:`run_fuzzed_file`."""
+    return run_fuzzed_file(json.dumps(obj).encode(), *argv)
+
+
+def run_fuzzed_file(data: bytes, *argv):
+    """Exit code of one run on ``data`` written as the {json} file; one error line iff nonzero.
 
     A flag that argparse rejects exits 2 through its usage message, whose error line starts ``photonflux: error: ``.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_json(Path(tmp) / "in.json", obj)
+        path = Path(tmp) / "in.json"
+        path.write_bytes(data)
         err = io.StringIO()
         with redirect_stderr(err):
             try:
@@ -1032,6 +1041,81 @@ def test_global_flags_never_crash(units, seed, samples, grid_n):
     # the netlist carries its own grid, so --grid is parsed and checked but allocates nothing
     run_fuzzed_json(ALL_KINDS_NETLIST, *units, f"--seed={seed}", f"--grid={grid_n},1.0,1.0",
                     "circuit", "--netlist", "{json}", f"--samples={samples}")
+
+
+# ---- input files: one reader, strict UTF-8 JSON whatever the locale ----------
+
+INPUT_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [("--grid", "64,1.0,1.0", "density", "--state"), ("--grid", "64,1.0,1.0", "momentum", "--chi", "1.25", "--state"),
+     ("circuit", "--netlist")],
+    ids=["density", "momentum", "circuit"],
+)
+# file bytes -> a phrase of the decoder's message that the one error line carries
+UNREADABLE_FILES = {
+    "invalid-utf8": (b'{"k0": 1\xff}', "can't decode byte 0xff in position 8"),
+    "utf16-bom": (json.dumps(GAUSSIAN_SPEC).encode("utf-16"), "can't decode byte 0x"),
+    "deep-array": (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+    "deep-field": (b'{"k0": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth exceeded"),
+    "5000-digit-integer": (b'{"k0": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    "utf8-bom": (b"\xef\xbb\xbf" + json.dumps(GAUSSIAN_SPEC).encode(), "Unexpected UTF-8 BOM"),
+    "syntax": (b"{not json", "Expecting property name enclosed in double quotes"),
+}
+
+
+@INPUT_COMMANDS
+@pytest.mark.parametrize("name", UNREADABLE_FILES)
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command, name):
+    data, message = UNREADABLE_FILES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(data)
+    code, out = run(tmp_path, *command, str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+FIELD_NAMES = ["kind", "k0", "sigma", "helicity", "x0", "N", "dk", "area", "re", "im", "grid", "elements", "sources",
+               "detectors", "vacuum", "id", "in", "out", "params", "port", "state", "t", "r", "phi", "chi", "length",
+               "n_in", "n_out"]
+# small numbers, so no drawn grid allocates the 2**24-bin arrays that would exhaust memory
+small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-4096, 4096) | st.floats(-1e3, 1e3) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@INPUT_COMMANDS
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.binary(max_size=64) | small_json.map(lambda obj: json.dumps(obj, ensure_ascii=False).encode()))
+def test_any_input_file_exits_0_2_or_3(command, data):
+    run_fuzzed_file(data, *command, "{json}")
+
+
+def test_circuit_reads_a_utf8_netlist_the_same_under_an_ascii_locale(tmp_path):
+    netlist = mz_netlist(np.pi)
+    netlist["elements"][2]["out"][0] = netlist["detectors"][0] = "d_\u00e9"
+    path = tmp_path / "mz.json"
+    path.write_bytes(json.dumps(netlist, ensure_ascii=False).encode())
+    code, out = run(tmp_path, "circuit", "--netlist", str(path))
+    assert code == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(photonflux.__file__).resolve().parent.parent), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    ascii_out = tmp_path / "ascii"
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c",
+         "import locale, sys, photonflux.cli; assert locale.getpreferredencoding(False) != 'utf-8'; "
+         "sys.exit(photonflux.cli.main(sys.argv[1:]))", "--out", str(ascii_out), "circuit", "--netlist", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [(p.name, p.read_bytes()) for p in sorted(ascii_out.iterdir())] == [
+        (p.name, p.read_bytes()) for p in sorted(out.iterdir())]
 
 
 NON_FINITE_LOCALIZED = pytest.mark.parametrize(
