@@ -6,8 +6,9 @@
 
 Formats N random 64-bit patterns, read as doubles, and every edge class
 (powers of two and of ten with their neighbours, repr's notation switch
-points, integers near 2**53, subnormals, short decimals, signed zeros,
-nan and infinities, each with both signs) through
+points, integers near 2**53, subnormals, short decimals, runs of
+consecutive integers and short decimals, 17-digit values with 3-digit
+exponents, signed zeros, nan and infinities, each with both signs) through
 ``photonflux.floatrepr.csv_block``, compares every line with ``repr``
 and prints the number of mismatches.  The exit status is 1 unless it is 0.
 
@@ -45,8 +46,17 @@ def edge_values() -> np.ndarray:
     mantissa = rng.integers(10 ** (digits - 1), 10**digits, dtype=np.int64)
     exponent = rng.integers(-340, 310, 20000)
     short = np.array([float(f"{m}e{e}") for m, e in zip(mantissa.tolist(), exponent.tolist())])
+    # 400 consecutive doubles up from each power of two 2**50..2**69 and of ten 1e-5..1e25: integers and
+    # short decimals whose interval ends and centers are integers at the digit scale, so the shortest
+    # digits hang on an excluded end, a left end that is kept, or a tie between two candidates
+    starts = np.concatenate([2.0 ** np.arange(50, 70), [float(f"1e{e}") for e in range(-5, 26)]])
+    consecutive = (starts.view(np.uint64)[:, None] + np.arange(400, dtype=np.uint64)).view(np.float64).ravel()
+    # 17 significant digits and a 3-digit exponent: with the sign, the widest text, 25 bytes with its separator
+    mantissa = rng.integers(10**16, 10**17, 2000, dtype=np.int64)
+    exponent = rng.integers(100, 292, 2000) * rng.choice([-1, 1], 2000)
+    widest = np.array([float(f"{m}e{e - 16}") for m, e in zip(mantissa.tolist(), exponent.tolist())])
     special = np.array([0.0, np.nan, np.inf])
-    values = np.concatenate([neighbours, five, smallest, largest, subnormal, short, special])
+    values = np.concatenate([neighbours, five, smallest, largest, subnormal, short, consecutive, widest, special])
     return np.concatenate([values, -values])
 
 

@@ -2,64 +2,228 @@
 
 The digits are the shortest decimal that reads back as the same double and,
 among those, the one nearest to it (ties to an even last digit).  They come
-from Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
-written as the JDK's ``DoubleToDecimal.toDecimal`` in numpy uint64
-arithmetic, which wraps exactly and does not depend on SIMD dispatch.  The
-layout is CPython's: fixed notation when -4 < decpt <= 16 for a value
-0.d1...dn * 10**decpt, with ``.0`` on integral values, otherwise
-``d[.ddd]e+XX`` with at least two exponent digits; ``-0.0``, ``nan``,
-``inf`` and ``-inf``.
+from Dragonbox (J. Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal
+Conversion Algorithm", 2020), written in numpy uint64 arithmetic, which
+wraps exactly and does not depend on SIMD dispatch: one 64 x 128-bit
+product per value gives the right end z of the value's rounding interval,
+scaled so that the interval is 100 to 1000 units wide, and a multiple of
+1000 inside the interval, or else the multiple of 100 nearest its center,
+is the answer.  The layout is CPython's: fixed notation when
+-4 < decpt <= 16 for a value 0.d1...dn * 10**decpt, with ``.0`` on integral
+values, otherwise ``d[.ddd]e+XX`` with at least two exponent digits;
+``-0.0``, ``nan``, ``inf`` and ``-inf``.
 
 Each value's text, with the separator after it, is built in a 32-byte slot
 of four little-endian uint64 words: the sign and any "0.000" right-aligned
-in the first word, the digits, point, exponent and separator from the
-second word on, and zero bytes around them.  The nonzero bytes of the
-slots, in order, are then the CSV text, one run of them per value.
+in the first word, then the digits with the point among them, and the
+exponent and separator at a fixed place in the last word, with zero bytes
+around them.  The nonzero bytes of the slots, in order, are then the CSV
+text.
 """
 
 import numpy as np
 
 _U64 = np.uint64
 _M32 = 0xFFFFFFFF
-_M63 = (1 << 63) - 1
-_EXPONENT_BITS = 0x7FF << 52
-_ONE = 0x3FF << 52
-
-# decimal exponents k of the scaled powers of ten g(k), as in the JDK
-_K_MIN, _K_MAX = -324, 292
+_M64 = (1 << 64) - 1
+_KAPPA = 2
+_BIG = 10 ** (_KAPPA + 1)
 
 
-def _flog10pow2(q):
-    """floor(q * log10(2)) for |q| <= 5456721."""
-    return (q * 661971961083) >> 41
+def _floor_log10_pow2(e):
+    """floor(e * log10(2)) for |e| <= 2620."""
+    return (e * 315653) >> 20
 
 
-def _flog2pow10(e):
-    """floor(e * log2(10)) for |e| <= 6432162."""
-    return (e * 913124641741) >> 38
+def _floor_log2_pow10(k):
+    """floor(k * log2(10)) for |k| <= 1233."""
+    return (k * 1741647) >> 19
 
 
-def _scaled_powers_of_ten():
-    """g1, and the 32-bit limbs of g1 and g0, with g = g1 2**63 + g0, per k; and h - q.
+def _phi(k: int) -> int:
+    """The cache entry for 10**k: ceil(10**k * 2**(127 - floor(k log2 10))), in [2**127, 2**128)."""
+    s = 127 - _floor_log2_pow10(k)
+    if k < 0:
+        return -(-(1 << s) // 10**-k)
+    return 10**k << s if s >= 0 else -(-(10**k) >> -s)
 
-    g = floor(10**-k 2**(125 - flog2pow10(-k))) + 1, in [2**125, 2**126].
+
+# columns of the exponent table
+_BETA1, _X_LOW, _LIMBS, _SMALL_CUT, _HALF_FRAC, _DIST_BASE, _E10 = 0, 1, slice(2, 6), 6, 7, 8, 9
+
+
+def _exponent_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dragonbox's constants for binary64, one row per top 12 bits of a double (sign and biased exponent).
+
+    For the biased exponent b, e = max(b, 1) - 1075 is the exponent of the
+    significand's last bit, k = kappa - floor(e log10 2), phi the cache
+    entry for 10**k and beta = e + floor(k log2 10), in [6, 9].  A
+    significand c rounds from the interval 2**(e-1) (2c -+ 1); times 10**k
+    that is (2c -+ 1) * phi * 2**(beta - 128).  So with x = (2c + 1) << beta,
+    z = x * phi / 2**128 is its right end, delta = phi / 2**(127 - beta) its
+    width, in [100, 1000), and y = z - delta/2 its center.
+
+    The columns: beta + 1; (2**53 [b > 0] + 1) << beta, so that
+    x = (c's stored bits << (beta + 1)) + that; phi's four 32-bit limbs,
+    lowest first; floor(delta) << 54 with the top 54 bits of delta's
+    fraction below it; the top 64 bits of delta/2's fraction;
+    1050 - floor(delta/2); and the decimal exponent -k + kappa of the
+    result.  b = 2047 (inf and nan) reuses b = 2046's row and b = 0 reuses
+    b = 1's.
+
+    Then, for b in 1..2046, (f, k') with f * 10**k' the repr digits of
+    2**(b - 1023): Dragonbox's shorter-interval case.  A significand of zero
+    bits has half the spacing below it that it has above, and as 2**52 is
+    even both ends of its interval round to it.
     """
-    g1s, g0s, shift = [], [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        r = 125 - _flog2pow10(-k)
-        if k <= 0:
-            beta = 10**-k << r if r >= 0 else 10**-k >> -r
-        else:
-            beta = (1 << r) // 10**k
-        g = beta + 1
-        g1s.append(g >> 63)
-        g0s.append(g & _M63)
-        shift.append(_flog2pow10(-k) + 2)
-    g1, g0 = np.array(g1s, dtype=_U64), np.array(g0s, dtype=_U64)
-    return g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32, np.array(shift, dtype=np.int64)
+    phi = [_phi(k) for k in range(-292, 327)]
+    phi_hi = np.array([p >> 64 for p in phi], dtype=_U64)
+    phi_lo = np.array([p & _M64 for p in phi], dtype=_U64)
+
+    b = np.arange(2048)
+    e = np.clip(b, 1, 2046) - 1075
+    minus_k = _floor_log10_pow2(e) - _KAPPA
+    beta = (e + _floor_log2_pow10(-minus_k)).astype(_U64)
+    hi, lo = phi_hi[292 - minus_k], phi_lo[292 - minus_k]
+    table = np.empty((2048, 10), dtype=_U64)
+    table[:, _BETA1] = beta + 1
+    table[:, _X_LOW] = ((b > 0).astype(_U64) << 53 | 1) << beta
+    table[:, _LIMBS] = np.stack([lo & _M32, lo >> 32, hi & _M32, hi >> 32], axis=1)
+    delta_frac = (hi << (beta + 1)) | (lo >> (63 - beta))
+    table[:, _SMALL_CUT] = (hi >> (63 - beta)) << 54 | delta_frac >> 10
+    table[:, _HALF_FRAC] = (hi << beta) | (lo >> (64 - beta))
+    table[:, _DIST_BASE] = _BIG + 10**_KAPPA // 2 - (hi >> (64 - beta))
+    table[:, _E10] = (minus_k + _KAPPA).view(_U64)
+
+    e = e[1:2047]
+    minus_k = (e * 631305 - 261663) >> 21  # floor(e log10(2) - log10(4/3))
+    beta = (e + _floor_log2_pow10(-minus_k)).astype(_U64)
+    hi = phi_hi[292 - minus_k]
+    left = (hi - (hi >> 54)) >> (11 - beta)
+    left += (e < 2) | (e > 3)  # the left end is an integer only for these exponents
+    right = ((hi + (hi >> 53)) >> (11 - beta)) // 10 * 10
+    f = ((hi >> (10 - beta)) + 1) // 2
+    tie = ((f & 1) == 1) & (e == -77)  # the one exponent whose candidate can be a tie
+    f = np.where(right >= left, right, f - tie + (~tie & (f < left)))
+    short_f, short_e = np.ones(2048, dtype=_U64), np.zeros(2048, dtype=np.int64)
+    short_f[1:2047], short_e[1:2047] = f, minus_k
+    return np.tile(table, (2, 1)), np.tile(short_f, 2), np.tile(short_e, 2)
 
 
-_G1, _G1_HI, _G1_LO, _G0_HI, _G0_LO, _H_MINUS_Q = _scaled_powers_of_ten()
+_TABLE, _SHORT_F, _SHORT_E = _exponent_table()
+
+
+def _mul_phi(x, row):
+    """(z, mid): bits 128 and up, and bits 64 to 127, of x * phi for x < 2**63, on 32-bit limbs.
+
+    ``row`` holds each value's exponent-table row, phi's limbs among them.
+    """
+    p0, p1, p2, p3 = row[:, _LIMBS].T
+    lo = x & _M32
+    hi = x >> 32
+    t = lo * p0
+    t >>= 32
+    t += lo * p1
+    u = t & _M32
+    u += hi * p0
+    t >>= 32
+    t += lo * p2
+    u >>= 32
+    u += hi * p1
+    u += t & _M32
+    mid = u & _M32
+    t >>= 32
+    t += lo * p3
+    u >>= 32
+    u += hi * p2
+    u += t & _M32
+    mid |= u << 32
+    t >>= 32
+    u >>= 32
+    u += t
+    u += hi * p3
+    return u, mid
+
+
+def _exact_steps(x, c, row):
+    """Dragonbox's steps 2 and 3 as published, for the values given; f at the decimal exponent of ``_E10``.
+
+    f is 10 times the quotient by 1000 when a multiple of 1000 lies in the
+    interval, otherwise the multiple of 100 nearest the center y, ties to
+    even.  Each rare branch (the right end excluded, the remainder equal to
+    delta, a center halfway between two multiples of 100) is evaluated
+    here on every value given and picked with masks; its parities come
+    from the products of phi with the left end and the center.
+    """
+    z, mid = _mul_phi(x, row)
+    s = z // _BIG
+    r = z - s * _BIG
+    delta = row[:, _SMALL_CUT] >> 54
+    even = (c & 1) == 0
+    # the right end is excluded when it is an integer and c is odd: try the next lower multiple of 1000
+    excluded = (r == 0) & (mid == 0) & ~even
+    s -= excluded
+    r += excluded * _U64(_BIG)
+    # r == delta puts the multiple of 1000 on the left end, kept when that is an integer and c is even
+    beta_pow = _U64(1) << (row[:, _BETA1] - 1)
+    left, left_mid = _mul_phi(x - 2 * beta_pow, row)
+    left_in = ((left & 1) == 1) | ((left_mid == 0) & even)
+    small = (r > delta) | excluded | ((r == delta) & ~left_in)
+    dist = r + row[:, _DIST_BASE] - _BIG
+    f = s * 10 + np.where(small, dist // 100, 0)
+    # dist divisible by 100: y is below the multiple when its parity differs from dist's; a tie goes to even
+    center, center_mid = _mul_phi(x - beta_pow, row)
+    down = ((center & 1) != (dist & 1)) | (((f & 1) == 1) & (center_mid == 0))
+    f -= small & (dist % 100 == 0) & down
+    return f
+
+
+def _shortest_decimal(bits):
+    """(f, e, special): f * 10**e gives the repr digits of each finite nonzero value, f < 10**17.
+
+    ``bits`` are the values as uint64.  ``special`` indexes the zeros,
+    infinities and nans, whose f and e are placeholders.  This is Dragonbox
+    with the fractions of z, delta and delta/2 compared to their top 64
+    bits: the few values whose comparison those bits leave open (nearly
+    all of them short decimals) take :func:`_exact_steps`.
+    """
+    top = (bits >> 52).view(np.intp)
+    row = _TABLE.take(top, axis=0)
+    c = bits & ((1 << 52) - 1)
+    x = c << row[:, _BETA1]
+    x += row[:, _X_LOW]
+    z, mid = _mul_phi(x, row)
+    s = z // _BIG
+    r = z - s * _BIG
+    # (r, fraction of z) above (delta, its fraction): the interval misses 1000 s, so f is the multiple
+    # of 100 nearest the center, 10 s - 10 + (r + 1050 - floor(delta/2) - borrow) // 100
+    cut = (r << 54) | (mid >> 10)
+    small_cut = row[:, _SMALL_CUT]
+    small = cut > small_cut
+    # the center borrows from r when the fraction of z is below that of delta/2
+    below = mid - row[:, _HALF_FRAC]
+    dist = r + row[:, _DIST_BASE]
+    dist -= below > mid
+    f = dist // 100
+    dist -= f * 100
+    f -= 10
+    f *= small
+    f += s * 10
+    # open: r of 0 or delta with fractions that agree in their top bits, or a center those bits put
+    # on a tie between two multiples of 100; the low bits decide them
+    cut -= small_cut
+    np.minimum(cut, cut + small_cut, out=cut)
+    dist |= below
+    open_ = np.flatnonzero(np.minimum(cut, dist) <= 1)
+    if len(open_):
+        f[open_] = _exact_steps(x[open_], c[open_], row[open_])
+    e = row[:, _E10].view(np.int64).copy()
+    # no stored significand bits (powers of two, zeros, infinities) or the top exponent (nans too)
+    unusual = np.flatnonzero((c == 0) | ((top & 0x7FF) == 0x7FF))
+    at = top[unusual]
+    f[unusual] = _SHORT_F[at]
+    e[unusual] = _SHORT_E[at]
+    return f, e, unusual[(at & 0x7FF) % 0x7FF == 0]
 
 
 def _word(text: str, offset: int = 0) -> int:
@@ -89,90 +253,56 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _QUAD, _SIGNIFICANT = _quad_tables()
+_POW10 = np.array([10**i for i in range(18)], dtype=_U64)
+# by the exponent field of float(f) for 1 <= f < 2**57: the fewest digits f can have, and 10 to that power
+_DIGITS = np.zeros((1024 + 57, 2), dtype=_U64)
+_DIGITS[1023:] = [(d, 10**d) for d in (len(str(1 << i)) for i in range(58))]
 
-
-def _byte_masks(pick) -> np.ndarray:
-    """[j][i]: word j of a 24-byte block with 0xFF at each byte b where ``pick(b, i)``, i = 0..24."""
-    return np.array(
-        [[sum(0xFF << 8 * b for b in range(8) if pick(8 * j + b, i)) for i in range(25)] for j in range(3)],
-        dtype=_U64,
-    )
-
-
-# the bytes before byte i, the bytes after it, and "." at it
-_BELOW = _byte_masks(lambda b, i: b < i)
-_ABOVE = _byte_masks(lambda b, i: b > i)
-_POINT = _byte_masks(lambda b, i: b == i) & _word("." * 8)
-_NO_POINT = 24
+# by decpt + _DECPT_OFFSET: the digits kept at least (up to the point and one after it for
+# ddd.0), the point's byte (0 for none), the exponent suffix's index and the "0.000" prefix's
+_DECPT_OFFSET = 330
+_EXPONENTS = [f"e{x:+03d}" for x in range(-324, 309)] + [""]
+_NO_EXPONENT = len(_EXPONENTS) - 1
+_NOTATION = np.array(
+    [(d + 1, d, 2 * _NO_EXPONENT, 0) if 0 < d <= 16 else (0, 0, 2 * _NO_EXPONENT, 1 - d) if -4 < d <= 0
+     else (0, 1, 2 * min(max(d + 323, 0), _NO_EXPONENT - 1), 0) for d in range(-_DECPT_OFFSET, _DECPT_OFFSET)],
+    dtype=np.int16,
+)
 # the sign and "0." followed by 0-3 zeros, right-aligned, at negative * 5 + (1 - decpt),
 # or the sign alone at negative * 5
 _PREFIX = np.array([_right(sign + lead) for sign in ("", "-") for lead in ["", "0.", "0.0", "0.00", "0.000"]],
                    dtype=_U64)
-# exponents -324..308 and none, each followed by "," and by a newline
-_EXPONENTS = [f"e{x:+03d}" for x in range(-324, 309)] + [""]
-_SUFFIX = np.frombuffer("".join(f"{e}{sep}".ljust(8, "\0") for e in _EXPONENTS for sep in ",\n").encode(), dtype="<u8")
-_NO_EXPONENT = len(_EXPONENTS) - 1
-_POW10 = np.array([10**i for i in range(20)], dtype=_U64)
+# each exponent followed by "," and by a newline, at bytes 2 to 7 of a word
+_SUFFIX = np.frombuffer("".join(f"\0\0{e}{sep}".ljust(8, "\0") for e in _EXPONENTS for sep in ",\n").encode(),
+                        dtype="<u8")
+_POINT_LENGTH = 18
+
+
+def _body_table() -> np.ndarray:
+    """By point * 18 + length: where each byte of the 24-byte body comes from, in three uint64 words.
+
+    The digits are the 17 of f left-aligned; ``length`` of them are kept.
+    Bytes before the point come from the digits, the point is "." and the
+    kept digits after it move up one byte; a point of 0 puts a zero byte
+    first instead.  Per word j, columns 3j to 3j + 2: the mask taking the
+    digits, the mask taking the moved digits, and the point's byte.
+    """
+    point = np.arange(17)[:, None, None]
+    length = np.arange(_POINT_LENGTH)[:, None]
+    byte = np.arange(24)
+    kept = byte < np.minimum(point, length)
+    moved = (point < byte) & (byte <= length)
+    dot = (point == byte) & (point > 0)
+    # each as three words of 0xFF (or ".") bytes
+    shape = (17, _POINT_LENGTH, 24)
+    kept, moved, dot = (np.ascontiguousarray(np.broadcast_to(m * np.uint8(fill), shape)).view("<u8")
+                        for m, fill in ((kept, 0xFF), (moved, 0xFF), (dot, ord("."))))
+    return np.stack([kept, moved, dot], axis=-1).reshape(-1, 9)
+
+
+_BODY = _body_table()
 # "0.0", "inf" and "nan", right-aligned, then with a sign
 _SPECIAL = np.array([_right(t) for t in ("0.0", "inf", "nan", "-0.0", "-inf", "nan")], dtype=_U64)
-
-
-def _mulhi(a_hi, a_lo, b_hi, b_lo):
-    """High 64 bits of the product of a < 2**63 and b < 2**63, given as 32-bit limbs."""
-    t = a_hi * b_lo + ((a_lo * b_lo) >> 32)
-    w = a_lo * b_hi + (t & _M32)
-    return a_hi * b_hi + (t >> 32) + (w >> 32)
-
-
-def _rop(g1, g1_hi, g1_lo, g0_hi, g0_lo, cp):
-    """cp * g * 2**-127 rounded to odd, g = g1 2**63 + g0 (JDK ``rop``)."""
-    cp_hi, cp_lo = cp >> 32, cp & _M32
-    x1 = _mulhi(g0_hi, g0_lo, cp_hi, cp_lo)
-    y1 = _mulhi(g1_hi, g1_lo, cp_hi, cp_lo)
-    z = ((g1 * cp) >> 1) + x1
-    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
-
-
-def _shortest_decimal(bits):
-    """(f, k) with f * 10**k the repr digits of each positive finite double, f < 10**17.
-
-    This is the JDK's ``toDecimal(q, c, 0)`` for every double, with one
-    change: subnormals use their own c and q = -1074 (the JDK scales the two
-    smallest by ten), and the one-digit-shorter test runs from s >= 10
-    rather than s >= 100, because the JDK renders at least two digits
-    (4.9E-324) where repr renders the shortest (5e-324).  Integral values
-    skip the JDK's fast path, which only saves time: this path gives them
-    the same digits.
-    """
-    t = bits & ((1 << 52) - 1)
-    bq = (bits >> 52) & 0x7FF
-    c = t | (np.minimum(bq, 1) << 52)
-    q = np.maximum(bq, 1).view(np.int64) - 1075
-    irregular = (t == 0) & (bq > 1)
-    # flog10pow2(q), or flog10threeQuartersPow2(q) where the spacing below c is halved
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
-    i = k - _K_MIN
-    h = (q + _H_MINUS_Q[i]).view(_U64)
-
-    g = _G1[i], _G1_HI[i], _G1_LO[i], _G0_HI[i], _G0_LO[i]
-    cb = c << 2
-    out = c & 1
-    vbl, vb, vbr = (_rop(*g, cp << h) for cp in (cb - 2 + irregular, cb, cb + 2))
-    vbl += out
-    vbr -= out
-
-    s = vb >> 2
-    sp10 = (s // 10) * 10
-    upin = vbl <= sp10 << 2
-    wpin = (sp10 + 10) << 2 <= vbr
-    shorter = (s >= 10) & (upin != wpin)
-    uin = vbl <= s << 2
-    win = (s + 1) << 2 <= vbr
-    cmp = (vb - ((s << 2) + 2)).view(np.int64)
-    closer_s = (cmp < 0) | ((cmp == 0) & ((s & 1) == 0))
-    take_s = (uin & ~win) | (~(uin ^ win) & closer_s)
-    f = np.where(shorter, sp10 + 10 * wpin.view(np.uint8), s + 1 - take_s.view(np.uint8))
-    return f, k
 
 
 def csv_block(block: np.ndarray) -> bytes:
@@ -181,66 +311,62 @@ def csv_block(block: np.ndarray) -> bytes:
     if rows * cols == 0:
         return b""
     bits = np.ascontiguousarray(block, dtype=np.float64).reshape(-1).view(_U64)
-    special = np.flatnonzero(((bits & _EXPONENT_BITS) == _EXPONENT_BITS) | (bits << 1 == 0))
-    if len(special):
-        special_bits = bits[special]
-        bits = bits.copy()
-        bits[special] = _ONE
-    f, e = _shortest_decimal(bits)
+    f, e, special = _shortest_decimal(bits)
 
-    # the 17 digits of f left-aligned; its bit length gives its digit count to within one
-    bit_length = (f.astype(np.float64).view(np.int64) >> 52) - 1022
-    digits = _flog10pow2(bit_length - 1) + 1
-    digits += f >= _POW10[digits]
-    decpt = e + digits
-    left = f * _POW10[17 - digits]
+    # f's digit count, from its binary exponent and one comparison
+    digits = _DIGITS.take(f.astype(np.float64).view(np.intp) >> 52, axis=0)
+    n = digits[:, 0] + (f >= digits[:, 1])
+    # the 17 digits of f left-aligned, as four quads and a last digit
+    left = f * _POW10.take(17 - n)
     high = left // 10**9
     low = left - high * 10**9
     q1 = high // 10**4
     q2 = high - q1 * 10**4
     low8 = low // 10
-    d16 = low - low8 * 10
+    d17 = low - low8 * 10
     q3 = low8 // 10**4
     q4 = low8 - q3 * 10**4
     quads = [q.view(np.intp) for q in (q1, q2, q3, q4)]
-    significant = np.maximum(_SIGNIFICANT[0][quads[0]], (d16 != 0).view(np.uint8) * 17)
+    significant = _SIGNIFICANT[0].take(quads[0])
+    np.maximum(significant, (d17 != 0).view(np.uint8) * np.uint8(17), out=significant)
     for j in range(1, 4):
-        np.maximum(significant, _SIGNIFICANT[j][quads[j]], out=significant)
-    significant = significant.astype(np.intp)
+        np.maximum(significant, _SIGNIFICANT[j].take(quads[j]), out=significant)
 
-    fixed = (decpt > -4) & (decpt <= 16)
-    fraction = fixed & (decpt <= 0)  # 0.000ddd: the prefix holds "0." and the zeros
-    positional = fixed & (decpt > 0)  # ddd.ddd, or ddd000.0
-    # digits kept: the significant ones, and for ddd000.0 those up to the
-    # point and the zero after it, all zeros of the 17
-    length = np.maximum(significant, (decpt + 1) * positional)
-    point = np.where(positional, decpt, np.where(fixed | (significant == 1), _NO_POINT, 1))
-    suffix_index = (np.where(fixed, _NO_EXPONENT, decpt + 323) * 2).reshape(rows, cols)
-    suffix_index[:, -1] += 1
-    suffix = _SUFFIX[suffix_index.reshape(-1)]
-
-    # digits, then the suffix at byte `length`, then the point at byte `point`
-    block_words = [_QUAD[quads[0]] | _QUAD[quads[1]] << 32, _QUAD[quads[2]] | _QUAD[quads[3]] << 32, d16 + 48]
-    word = length >> 3
-    shift = ((length & 7) << 3).view(_U64)
-    low_part, high_part = suffix << shift, suffix >> (64 - shift)
-    for j in range(3):
-        w = block_words[j] & _BELOW[j][length]
-        w |= low_part * (word == j)
-        if j:
-            w |= high_part * (word == j - 1)
-        block_words[j] = w
-    w0, w1, w2 = block_words
-    s0, s1, s2 = w0 << 8, (w1 << 8) | (w0 >> 56), (w2 << 8) | (w1 >> 56)
+    notation = _NOTATION.take(e.view(np.intp) + n.view(np.intp) + _DECPT_OFFSET, axis=0)
+    length = np.maximum(significant, notation[:, 0])
+    # a one-digit exponent form has no point: the point is at most the last kept digit's byte
+    layout = np.minimum(notation[:, 1], length - 1)
+    layout *= _POINT_LENGTH
+    layout += length
+    body = _BODY.take(layout, axis=0)
+    suffix = notation[:, 2].reshape(rows, cols)
+    suffix[:, -1] += 1
 
     words = np.empty((len(bits), 4), dtype=np.dtype("<u8"))
-    words[:, 0] = _PREFIX[(bits >> 63).view(np.intp) * 5 + fraction * (1 - decpt)]
-    for j, (w, s) in enumerate(((w0, s0), (w1, s1), (w2, s2))):
-        words[:, 1 + j] = (w & _BELOW[j][point]) | (s & _ABOVE[j][point]) | _POINT[j][point]
+    words[:, 0] = _PREFIX.take(notation[:, 3] + 5 * (bits >> 63).view(np.intp))
+    w0 = _QUAD.take(quads[1])
+    w0 <<= 32
+    w0 |= _QUAD.take(quads[0])
+    w1 = _QUAD.take(quads[3])
+    w1 <<= 32
+    w1 |= _QUAD.take(quads[2])
+    d17 += 48
+    # the body: digits before the point, the point, then the kept digits one byte up
+    for j, (w, below) in enumerate(((w0, None), (w1, w0), (d17, w1))):
+        moved = w << 8
+        if below is not None:
+            moved |= below >> 56
+        out = words[:, 1 + j]
+        np.bitwise_and(moved, body[:, 3 * j + 1], out=out)
+        out |= body[:, 3 * j + 2]
+        out |= w & body[:, 3 * j]
+    # the exponent and separator at bytes 18 to 23: a gap of zero bytes may precede them
+    words[:, 3] |= _SUFFIX.take(suffix.reshape(-1))
 
     if len(special):
-        nan = (special_bits << 1) > (_EXPONENT_BITS << 1)
-        kind = np.where(nan, 2, (special_bits & _EXPONENT_BITS) != 0) + 3 * (special_bits >> 63).view(np.intp)
+        special_bits = bits[special]
+        nan = (special_bits << 1) > (0x7FF << 53)
+        kind = np.where(nan, 2, (special_bits >> 52 & 0x7FF) != 0) + 3 * (special_bits >> 63).view(np.intp)
         words[special, 0] = _SPECIAL[kind]
         words[special, 1] = np.where(special % cols == cols - 1, ord("\n"), ord(","))
         words[special, 2:] = 0

@@ -99,6 +99,16 @@ def test_density_header_and_continuity_step_use_the_amplitude_state_grid(tmp_pat
     assert json.loads((out / "summary.json").read_text())["continuity_residual"] == expected
 
 
+def test_density_continuity_residual_is_zero_when_both_terms_underflow(tmp_path):
+    # |c|^2 underflows: the current is two subnormals, not uniform, yet its derivative and drho/dt are all zero
+    spec = {"kind": "amplitude", "N": 2, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [1e-162, 1e-162],
+            "im": [0.0, 0.0]}
+    state = write_json(tmp_path / "state.json", spec)
+    code, out = run(tmp_path, "--units", "si", "density", "--state", state)
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["continuity_residual"] == 0.0
+
+
 def test_density_missing_file_exits_2(tmp_path):
     code, _ = run(tmp_path, "density", "--state", str(tmp_path / "absent.json"))
     assert code == 2

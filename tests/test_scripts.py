@@ -31,13 +31,14 @@ SRC = Path(photonflux.__file__).resolve().parent.parent
         (
             "check_float_repr.py",
             ["--count", "1000", "--seed", "3"],
-            "float repr check: 1000 random bit patterns (seed 3) and 105700 edge values",
+            "float repr check: 1000 random bit patterns (seed 3) and 150500 edge values",
         ),
         (
             "artifact_digest.py",
             ["--workload", "circuit_sweep", "--seed", "3", "--ops", "2"],
             "artifact digests: circuit_sweep seed 3, ops 0..1",
         ),
+        ("time_csv_block.py", ["--repeats", "1"], "csv_block ns per value, median of 1 repeats"),
     ],
 )
 def test_script_runs_and_prints_header(script, args, header):
