@@ -7,7 +7,8 @@ renders every result first, so a failed run leaves none of its files; runs
 are deterministic for a given config and seed.  Exit codes: 0 success, 2 bad
 input (an input file that is not UTF-8 JSON or not a valid spec, a numeric
 flag that is non-finite, does not parse or exceeds its ceiling, a size that
-exhausts memory), 3 numerical invariant violated (a non-finite result too).
+exhausts memory, a density that underflows to zero everywhere), 3 numerical
+invariant violated (a non-finite result too).
 Each ``cmd_*`` raises a :class:`PhotonfluxError` on bad input, an
 :class:`InvariantError` on a broken invariant; :func:`main` alone maps what
 the library raises to an exit code and one ``error: ...`` line on stderr.
@@ -167,10 +168,13 @@ def cmd_density(args) -> None:
     t, units = args.time, args.units
     field = dens.density_field(state, state, t, units)
     spec.assert_support_clear(field.rho)
+    number = spec.photon_number(state)
+    if number > 0.0 and not field.rho.any():
+        # no integral check can pass then, and no support check can see the pulse
+        raise DomainError(f"density underflows to zero everywhere for photon number {number!r}")
     current = dens.current_field(state, state, t, units)
     fields = spec.synthesize_fields(state, t, units)
 
-    number = spec.photon_number(state)
     # small enough that the centered-difference truncation error stays below 1e-6 even for broadband pulses
     residual = dens.continuity_residual(state, t, state.grid.dx / (256.0 * units.c), units)
 

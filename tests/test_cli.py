@@ -739,6 +739,18 @@ def test_density_pulse_across_the_wrap_exits_2(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("dk, number", [(1e-300, "3.18e-321"), (1e-170, "3.1830988618379066e-191")],
+                         ids=["subnormal-number", "normal-number"])
+def test_density_that_underflows_everywhere_exits_2_before_writing(tmp_path, capsys, dk, number):
+    # a positive photon number whose rho products all underflow: no integral check could pass
+    spec = {"kind": "amplitude", "N": 2, "dk": dk, "area": 1.0, "helicity": 1, "re": [1e-10, 1e-10],
+            "im": [0.0, 0.0]}
+    code, out = run(tmp_path, "density", "--state", write_json(tmp_path / "state.json", spec))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: density underflows to zero everywhere for photon number {number}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, flag",
     [

@@ -20,9 +20,10 @@ from photonflux import (
     single_mode_state,
     synthesize_fields,
 )
+from photonflux import spectral
 from photonflux.errors import DimensionError, DomainError, GridCoverageError
 from photonflux.spectral import json_complex, json_int, json_names, json_number, state_from_spec
-from photonflux.units import NATURAL
+from photonflux.units import NATURAL, SI
 
 from conftest import random_band_state
 
@@ -174,6 +175,80 @@ def test_round_trip_spectrum_recovery(grid):
     state = random_band_state(grid, rng)
     back = extract_spectrum(synthesize_fields(state, t=1.7))
     assert np.abs(back.c - state.c).max() <= 1e-10
+
+
+# ---- cached synthesis factors ---------------------------------------------------------
+
+# -0.0 follows 0.0, whose phase entry it shares, as equal keys do
+CACHE_TIMES = (0.0, -0.0, 0.3, -0.7, 1e-5, 1e-300)
+
+
+def uncached_fields(state, t, units):
+    """A+, E+ and B+ stacked, from the synthesis formula with every factor computed in place."""
+    grid = state.grid
+    omega = units.c * grid.k
+    weights = grid.dk / (TWO_PI * np.sqrt(omega * grid.area))
+    pref = np.sqrt(units.hbar / units.eps0)
+    base = np.roll(weights * state.c * np.exp(-1j * omega * t), 1)
+    spectra = np.stack([base, base * (1j * np.roll(omega, 1)), base * (1j * np.roll(grid.k, 1))])
+    np.fft.ifft(spectra, axis=-1, out=spectra)
+    return np.multiply(1j * pref * grid.n, spectra, out=spectra)
+
+
+def signed_zero_spectrum(grid, seed):
+    """A random spectrum with +0 and -0 parts among its entries, so the signs of zeros are exercised too."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+    c[::5] = complex(0.0, -0.0)
+    c[1::10] = complex(-0.0, 0.0)
+    return SpectralAmplitude(grid=grid, helicity=+1, c=c)
+
+
+def assert_same_bits(fields, expected):
+    for got, want in zip((fields.a_plus, fields.e_plus, fields.b_plus), expected):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
+@pytest.mark.parametrize("dk", [1.0, 0.37, 1e3])
+@pytest.mark.parametrize("n", [64, 1024, 16384])
+def test_cached_synthesis_is_bit_identical_to_the_formula(n, dk, units):
+    state = signed_zero_spectrum(KGrid1D(n=n, dk=dk, area=1.5), n)
+    for t in CACHE_TIMES:
+        expected = uncached_fields(state, t, units)
+        assert_same_bits(synthesize_fields(state, t, units), expected)  # a miss of the phase cache
+        assert_same_bits(synthesize_fields(state, t, units), expected)  # a hit
+
+
+def test_interleaved_grids_and_units_each_get_their_own_fields():
+    grid_a, grid_b = KGrid1D(n=256, dk=1.0), KGrid1D(n=256, dk=0.5, area=2.0)
+    state_a, state_b = signed_zero_spectrum(grid_a, 1), signed_zero_spectrum(grid_b, 1)
+    # one time throughout, so that a key missing the grid or the units would find the previous entry
+    for state, units in [(state_a, NATURAL), (state_b, NATURAL), (state_a, NATURAL), (state_a, SI),
+                         (state_a, NATURAL), (state_b, SI), (state_a, SI)]:
+        for t in (0.3, 0.3):
+            assert_same_bits(synthesize_fields(state, t, units), uncached_fields(state, t, units))
+
+
+def test_cached_factors_are_read_only_and_fields_are_not():
+    grid = KGrid1D(n=64, dk=1.0)
+    fields = synthesize_fields(signed_zero_spectrum(grid, 2), 0.3)
+    shared = [*spectral._mode_factors(grid, NATURAL)[:4], spectral._phase(grid, NATURAL, 0.3)]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    fields.a_plus[0] = 1.0  # each call's fields are its own
+    assert synthesize_fields(signed_zero_spectrum(grid, 2), 0.3).a_plus[0] != 1.0
+
+
+def test_each_cache_holds_one_entry():
+    for n in (64, 128):
+        state = signed_zero_spectrum(KGrid1D(n=n, dk=1.0), n)
+        for units in (NATURAL, SI):
+            for t in CACHE_TIMES:
+                synthesize_fields(state, t, units)
+                assert spectral._mode_factors.cache_info().currsize == 1
+                assert spectral._phase.cache_info().currsize == 1
 
 
 # ---- scalar product -----------------------------------------------------------------
