@@ -1,18 +1,17 @@
 """Batch command-line front end.
 
-Subcommands: density, localized, circuit, fresnel, momentum.  Input files are
-read by :func:`spectral.read_json` alone, as UTF-8 whatever the locale, and
-output is written under --out by :func:`_write_run` alone, which checks and
-renders every result first, so a failed run leaves none of its files; runs
-are deterministic for a given config and seed.  Exit codes: 0 success, 2 bad
-input (an input file that is not UTF-8 JSON or not a valid spec, a numeric
-flag that is non-finite, does not parse or exceeds its ceiling, a size that
-exhausts memory, a density that underflows to zero everywhere), 3 numerical
-invariant violated (a non-finite result too).
-Each ``cmd_*`` raises a :class:`PhotonfluxError` on bad input, an
-:class:`InvariantError` on a broken invariant; :func:`main` alone maps what
-the library raises to an exit code and one ``error: ...`` line on stderr.
-``circuit`` and ``optics`` are imported only by the subcommands that run them.
+Subcommands: density, localized, circuit, fresnel, momentum.  Each ``cmd_*``
+reads its inputs by :func:`spectral.read_json` alone and returns a
+:class:`Run`; :func:`main` alone writes it by :func:`_write_run`, which
+names the first non-finite result and renders every artifact before --out
+exists (so a failed run leaves none of its files), evaluates its checks and
+maps the outcome to an exit code and one ``error: ...`` line on stderr: 0
+success, 2 bad input (an input file that is not UTF-8 JSON or not a valid
+spec, a numeric flag that is non-finite, does not parse or exceeds its
+ceiling, a size that exhausts memory, a density that underflows to zero
+everywhere), 3 numerical invariant violated (a non-finite result too).
+Runs are deterministic for a given config and seed.  ``circuit`` and
+``optics`` are imported only by the subcommands that run them.
 """
 
 import argparse
@@ -21,7 +20,9 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,34 +78,39 @@ def _parse_complex(text: str) -> complex:
     return complex(*(_finite_float(p) for p in parts))
 
 
+class Run(NamedTuple):
+    """One subcommand's results: ``tables`` maps each CSV file name to ``(comment line, {column: float array})``,
+    ``payload`` is the JSON artifact ``name`` and its ``"ledger"`` list holds the ``LedgerRow``s of ``ledger``.
+    ``checks`` are ``(failed, message)`` pairs, evaluated after the write so a broken law leaves its numbers."""
+    tables: dict
+    name: str
+    payload: dict
+    ledger: tuple | None = None
+    checks: tuple = ()
+
+
 # one circuit ledger row, and the empty top-level list the rows replace, as json.dumps(sort_keys=True, indent=2)
 # lays them out; a string holds no raw newline, so only a top-level key starts a line with two spaces
 _LEDGER_ROW = '\n    {\n      "absorbed": %s,\n      "element": %s,\n      "number_in": %s,\n      "number_out": %s\n    }'
 _LEDGER_SLOT = '\n  "ledger": []'
+_LEDGER_NUMBERS = ("absorbed", "number_in", "number_out")  # in the order a row lists them
 
 
-def _write_run(out: Path, tables: dict, name: str, payload: dict, ledger=None) -> None:
-    """Write one run's artifacts: the only code that creates ``out`` or writes in it.
-
-    ``tables`` maps each CSV file name to ``(comment line, {column name:
-    float array})``.  The first non-finite column, in table order, raises
-    :class:`InvariantError`, and so does a NaN or infinity in the JSON text
-    of ``name``, rendered next; only then is ``out`` created and the tables
-    and the JSON written.  If a write fails, the files written are removed.
-    """
-    for _, columns in tables.values():
-        for column, values in columns.items():
-            if not np.isfinite(values).all():
-                raise InvariantError(f"non-finite result: {column}")
-    text = _render_json(name, payload, ledger)
+def _write_run(out: Path, run: Run) -> None:
+    """Write one run's artifacts: the only code that creates ``out`` or writes in it.  The first NaN or infinity
+    raises :class:`InvariantError` naming it; the JSON is rendered next, and only then are ``out``, the tables and
+    the JSON written.  If a write fails, the files written are removed."""
+    for quantity in _non_finite(run):
+        raise InvariantError(f"non-finite result: {quantity}")
+    text = _render_json(run.payload, run.ledger)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        for table, (comment, columns) in tables.items():
+        for table, (comment, columns) in run.tables.items():
             dens.write_density_csv(out / table, f"{comment}{','.join(columns)}\n", tuple(columns.values()))
             written.append(out / table)
-        with open(out / name, "wb") as fh:
-            written.append(out / name)
+        with open(out / run.name, "wb") as fh:
+            written.append(out / run.name)
             fh.write(text.encode())
     except BaseException:
         for path in written:
@@ -112,50 +118,41 @@ def _write_run(out: Path, tables: dict, name: str, payload: dict, ledger=None) -
         raise
 
 
-def _render_json(name: str, payload: dict, ledger=None) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
+def _non_finite(run: Run):
+    """Yield the name of each NaN or infinity in ``run``: table columns in table order, payload values in build
+    order, then ``ledger[<element id>].<field>``; rows are searched only once a C-level column check fails."""
+    for _, columns in run.tables.values():
+        yield from (column for column, values in columns.items() if not np.isfinite(values).all())
+    yield from _non_finite_keys(run.payload, "")
+    if not all(all(map(math.isfinite, map(attrgetter(number), run.ledger or ()))) for number in _LEDGER_NUMBERS):
+        yield from (f"ledger[{row.element_id}].{number}" for row in run.ledger for number in _LEDGER_NUMBERS
+                    if not math.isfinite(getattr(row, number)))
 
-    ``ledger``, if given, holds the ``LedgerRow``s of the payload's
-    ``"ledger"`` list.  The rest of the payload is dumped with an empty list
-    there, and the rows are spliced in, one template per row, with
-    ``float.__repr__`` for the numbers and json's own escaping for the id:
-    the same bytes, without a dict per row or the pure-Python encoder's
-    walk over them.  A non-finite row value falls back to the full
-    ``json.dumps``, so a NaN or infinity anywhere raises the same
-    :class:`InvariantError`, naming the artifact ``name``.
-    """
-    try:
-        items = None if ledger is None else _ledger_items(ledger)
-        if items is None and ledger is not None:
-            payload = {**payload, "ledger": [{"element": r.element_id, "number_in": r.number_in,
-                                              "number_out": r.number_out, "absorbed": r.absorbed} for r in ledger]}
-        text = json.dumps(payload if items is None else {**payload, "ledger": []}, sort_keys=True, indent=2,
-                          allow_nan=False)
-    except ValueError as exc:
-        raise InvariantError(f"{name}: {exc}") from None
-    if items:
+
+def _non_finite_keys(value, key: str):
+    """Yield the key of each NaN or infinity in JSON ``value`` at ``key`` (nested keys ``a.b``, entries ``a[i]``)."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _non_finite_keys(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _non_finite_keys(v, f"{key}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield key
+
+
+def _render_json(payload: dict, ledger=None) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` and a newline: the ``LedgerRow``s of
+    ``ledger``, if given, are spliced into its empty ``"ledger"`` list as the same bytes, one ``_LEDGER_ROW`` each,
+    by C-level maps (``float.__repr__``, json's own escaping for the id), so no dict or Python frame runs per row."""
+    text = json.dumps(payload if ledger is None else {**payload, "ledger": []}, sort_keys=True, indent=2,
+                      allow_nan=False)
+    if ledger:
+        absorbed, number_in, number_out = (map(float.__repr__, map(attrgetter(n), ledger)) for n in _LEDGER_NUMBERS)
+        ids = map(encode_basestring_ascii, map(attrgetter("element_id"), ledger))
+        items = ",".join(map(_LEDGER_ROW.__mod__, zip(absorbed, ids, number_in, number_out)))
         text = text.replace(_LEDGER_SLOT, f'\n  "ledger": [{items}\n  ]', 1)
     return text + "\n"
-
-
-def _ledger_items(rows) -> str | None:
-    """The rows laid out by ``_LEDGER_ROW``; None for a value json.dumps must handle itself.
-
-    Each column is read and checked finite in one pass; the rows are then
-    formatted by C-level maps, one row at a time (``float.__repr__`` raises
-    for a value that is not a float, json's escaper for an id that is not a
-    str), so no Python frame runs per row.
-    """
-    absorbed, number_in, number_out = ([r.absorbed for r in rows], [r.number_in for r in rows],
-                                       [r.number_out for r in rows])
-    try:
-        if not all(all(map(math.isfinite, column)) for column in (absorbed, number_in, number_out)):
-            return None
-        ids = map(encode_basestring_ascii, [r.element_id for r in rows])
-        return ",".join(map(_LEDGER_ROW.__mod__, zip(map(float.__repr__, absorbed), ids,
-                                                     map(float.__repr__, number_in), map(float.__repr__, number_out))))
-    except TypeError:
-        return None  # a value that is not a float, or an id that is not a str
 
 
 def _comment_line(t: float, k_max: float, units) -> str:
@@ -163,7 +160,7 @@ def _comment_line(t: float, k_max: float, units) -> str:
     return f"# t={float(t)!r} k_max={float(k_max)!r} units={units.mode}\n"
 
 
-def cmd_density(args) -> None:
+def cmd_density(args) -> Run:
     state = spec.state_from_spec(spec.read_json(args.state), args.grid)
     t, units = args.time, args.units
     field = dens.density_field(state, state, t, units)
@@ -193,12 +190,11 @@ def cmd_density(args) -> None:
         "time": t,
         "units": units.mode,
     }
-    _write_run(args.out, tables, "summary.json", summary)
-    if abs(total - number) > 1e-8 * number:
-        raise InvariantError(f"density integral {total!r} disagrees with photon number {number!r}")
+    check = (abs(total - number) > 1e-8 * number, f"density integral {total!r} disagrees with photon number {number!r}")
+    return Run(tables, "summary.json", summary, checks=(check,))
 
 
-def cmd_localized(args) -> None:
+def cmd_localized(args) -> Run:
     k_max, dt, units = args.k_max, args.delta_t, args.units
     if args.dim not in (1, 3):
         raise DomainError("--dim must be 1 or 3")
@@ -231,11 +227,10 @@ def cmd_localized(args) -> None:
         }
     summary = {"dim": args.dim, "k_max": k_max, "window_halfwidth": window, "units": units.mode, **measures}
     columns = {"u": coords, "re(rho+)": rho_plus.real, "im(rho+)": rho_plus.imag, "rho": rho_phys}
-    _write_run(args.out, {"localized.csv": (_comment_line(dt, k_max, units), columns)}, "localized_summary.json",
-               summary)
+    return Run({"localized.csv": (_comment_line(dt, k_max, units), columns)}, "localized_summary.json", summary)
 
 
-def cmd_circuit(args) -> None:
+def cmd_circuit(args) -> Run:
     from . import circuit as circ
 
     if args.samples < 0:
@@ -260,12 +255,12 @@ def cmd_circuit(args) -> None:
     if args.samples:
         result["samples"] = circ.sample_outcomes(pulse, args.seed, args.samples)
         result["seed"] = args.seed
-    _write_run(args.out, {}, "circuit_result.json", result, ledger=ledger.rows)
-    if not args.paper_convention and abs(conservation - 1.0) > circ.CONSERVATION_TOL:
-        raise InvariantError(f"conservation violated: detectors + absorbed = {conservation!r}")
+    check = (not args.paper_convention and abs(conservation - 1.0) > circ.CONSERVATION_TOL,
+             f"conservation violated: detectors + absorbed = {conservation!r}")
+    return Run({}, "circuit_result.json", result, ledger.rows, (check,))
 
 
-def cmd_fresnel(args) -> None:
+def cmd_fresnel(args) -> Run:
     from . import optics
 
     n1, n2 = args.n1, args.n2
@@ -281,13 +276,13 @@ def cmd_fresnel(args) -> None:
         "conservation_defect": budget.defect,
         "convention": budget.convention,
     }
-    _write_run(args.out, {}, "fresnel.json", result)
     lossless = n1.imag == 0.0 and n2.imag == 0.0
-    if not args.paper_convention and lossless and abs(budget.defect) > 1e-12:
-        raise InvariantError(f"flux conservation defect {budget.defect!r}")
+    check = (not args.paper_convention and lossless and abs(budget.defect) > 1e-12,
+             f"flux conservation defect {budget.defect!r}")
+    return Run({}, "fresnel.json", result, checks=(check,))
 
 
-def cmd_momentum(args) -> None:
+def cmd_momentum(args) -> Run:
     from . import optics
 
     state = spec.state_from_spec(spec.read_json(args.state), args.grid)
@@ -301,7 +296,7 @@ def cmd_momentum(args) -> None:
         "chi": [chi.real, chi.imag],
         "units": args.units.mode,
     }
-    _write_run(args.out, {}, "momentum.json", result)
+    return Run({}, "momentum.json", result)
 
 
 @functools.cache
@@ -358,14 +353,18 @@ def main(argv=None) -> int:
         # every non-finite result is reported by an explicit check, as one error line,
         # so numpy's floating-point warnings would only repeat it on stderr
         with np.errstate(all="ignore"):
-            args.func(args)
+            run = args.func(args)
+            _write_run(args.out, run)
+            for failed, message in run.checks:
+                if failed:
+                    raise InvariantError(message)
     except MemoryError:
         # a size that passed its ceiling can still exceed this machine's memory
         hint = f"; reduce {args.size}" if args.size else ""
         print(f"error: out of memory in {args.command}{hint}", file=sys.stderr)
         return EXIT_INPUT
     except OverflowError:
-        # a Python float overflow is a non-finite result, like a NaN in the JSON
+        # a Python float overflow is a non-finite result, with no quantity to name
         print("error: non-finite result: float overflow", file=sys.stderr)
         return EXIT_INVARIANT
     except (PhotonfluxError, OSError) as exc:

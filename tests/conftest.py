@@ -8,6 +8,24 @@ import photonflux.density as density
 from photonflux import KGrid1D, SpectralAmplitude, photon_number
 
 
+# a netlist with one element of every kind; it runs clean on its 64-bin grid (test_fuzz_seeds_run_clean)
+ALL_KINDS_NETLIST = {
+    "grid": {"N": 64, "dk": 1.0, "area": 1.0},
+    "elements": [
+        {"id": "bs", "kind": "beam_splitter", "params": {"t": [0.6, 0.0], "r": [0.0, 0.8]},
+         "in": ["src", "vac"], "out": ["a", "b"]},
+        {"id": "ifc", "kind": "interface", "params": {"n_in": 1.0, "n_out": 1.5}, "in": ["a"], "out": ["a1", "refl"]},
+        {"id": "med", "kind": "medium_segment", "params": {"chi": [1.25, 0.01], "length": 2.0},
+         "in": ["a1"], "out": ["a2"]},
+        {"id": "m", "kind": "mirror", "params": {"r": -1.0}, "in": ["b"], "out": ["b1"]},
+        {"id": "ps", "kind": "phase_shifter", "params": {"phi": 0.5}, "in": ["b1"], "out": ["b2"]},
+    ],
+    "sources": [{"port": "src", "state": {"kind": "gaussian", "k0": 30.0, "sigma": 2.0, "helicity": -1, "x0": 3.0}}],
+    "detectors": ["a2", "refl", "b2"],
+    "vacuum": ["vac"],
+}
+
+
 @pytest.fixture
 def grid():
     return KGrid1D(n=1024, dk=1.0, area=1.0)

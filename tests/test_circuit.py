@@ -38,6 +38,8 @@ from photonflux.optics import DielectricInterface, fresnel_interface
 from photonflux.spectral import state_from_spec
 from photonflux.units import NATURAL
 
+from conftest import ALL_KINDS_NETLIST
+
 
 def source(grid=None):
     grid = grid or KGrid1D(n=256, dk=1.0)
@@ -585,6 +587,16 @@ def test_ledger_rows_are_frozen():
     with pytest.raises(FrozenInstanceError):
         ledger.rows[0].absorbed = 0.5
     assert hash(ledger) == hash(run_circuit(mach_zehnder_netlist(source(), 0.3))[1])
+
+
+@pytest.mark.parametrize("paper_convention", [False, True], ids=["default", "paper"])
+@pytest.mark.parametrize("netlist", [netlist_from_json(ALL_KINDS_NETLIST), clements_mesh(8)],
+                         ids=["all-kinds", "mesh-with-vacuum-rows"])
+def test_every_ledger_number_is_a_float(netlist, paper_convention):
+    """The ledger template formats numbers with ``float.__repr__``, so no row may hold an int."""
+    _, ledger = run_circuit(netlist, paper_convention=paper_convention)
+    numbers = [getattr(row, field) for row in ledger.rows for field in ("number_in", "number_out", "absorbed")]
+    assert numbers and all(isinstance(x, float) for x in numbers)
 
 
 # ---- sampling -------------------------------------------------------------------

@@ -24,7 +24,7 @@ import photonflux.cli as cli_mod
 import photonflux.optics as optics_mod
 from photonflux.cli import main
 
-from conftest import fail_forked_csv_rows, fill_disk_while_formatting
+from conftest import ALL_KINDS_NETLIST, fail_forked_csv_rows, fill_disk_while_formatting
 
 GAUSSIAN_SPEC = {"kind": "gaussian", "k0": 600.0, "sigma": 20.0, "helicity": 1}
 
@@ -252,8 +252,7 @@ def test_circuit_nan_on_a_vacuum_arm_exits_3_without_writing_json(tmp_path, caps
     netlist = write_json(tmp_path / "nan.json", NAN_INTERFACE_NETLIST)
     code, out = run(tmp_path, "circuit", "--netlist", netlist)
     assert code == 3
-    err = "error: circuit_result.json: Out of range float values are not JSON compliant: nan\n"
-    assert capsys.readouterr().err == err
+    assert capsys.readouterr().err == "error: non-finite result: detectors.t.probability\n"
     assert not (out / "circuit_result.json").exists()
 
 
@@ -533,28 +532,28 @@ def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys):
     # finite indices whose sum overflows: t = 2 n1 / (n1 + n2) is inf/inf
     code, out = run(tmp_path, "fresnel", "--n1", "1e308", "--n2", "1e308")
     assert code == 3
-    assert "fresnel.json" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: non-finite result: t[0]\n"
     assert not (out / "fresnel.json").exists()
 
 
 # a 64-bin amplitude state whose photon number overflows: its density, fields and momenta are infinite or NaN
 HUGE_AMPLITUDE = {"kind": "amplitude", "N": 64, "dk": 1.0, "area": 1.0, "helicity": 1, "re": [1e200] * 64,
                   "im": [0.0] * 64}
-OUT_OF_RANGE = "Out of range float values are not JSON compliant"
 
 
 @pytest.mark.parametrize(
     "args, error",
     [
         (("density", "--state", "{huge}"), "non-finite result: rho"),
-        (("momentum", "--state", "{huge}", "--chi", "1.25"), f"momentum.json: {OUT_OF_RANGE}: inf"),
-        (("circuit", "--netlist", "{nan_netlist}"), f"circuit_result.json: {OUT_OF_RANGE}: nan"),
-        (("fresnel", "--n1", "1e308", "--n2", "1e308"), f"fresnel.json: {OUT_OF_RANGE}: nan"),
+        (("momentum", "--state", "{huge}", "--chi", "1.25"), "non-finite result: photon_number"),
+        (("circuit", "--netlist", "{nan_netlist}"), "non-finite result: detectors.t.probability"),
+        (("fresnel", "--n1", "1e308", "--n2", "1e308"), "non-finite result: t[0]"),
+        (("fresnel", "--n1", "1e-320", "--n2", "1"), "non-finite result: transmittance"),
         (("localized", "--dim", "3", "--k-max", "1", "--delta-t", "1e-320", "--points", "100"),
          "non-finite result: re(rho+)"),
         (("localized", "--dim", "1", "--k-max", "1", "--span", "1e308", "--points", "100"), "non-finite result: u"),
     ],
-    ids=["density", "momentum", "circuit", "fresnel", "localized-3d", "localized-1d"],
+    ids=["density", "momentum", "circuit", "fresnel", "fresnel-transmittance", "localized-3d", "localized-1d"],
 )
 def test_non_finite_result_exits_3_and_leaves_no_out(tmp_path, capsys, args, error):
     paths = {"huge": write_json(tmp_path / "huge.json", HUGE_AMPLITUDE),
@@ -565,7 +564,8 @@ def test_non_finite_result_exits_3_and_leaves_no_out(tmp_path, capsys, args, err
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+# one succeeding run of each subcommand, and the JSON artifact it writes
+SUBCOMMAND_RUNS = pytest.mark.parametrize(
     "args, name",
     [
         (("density", "--state", "{gaussian}"), "summary.json"),
@@ -577,9 +577,28 @@ def test_non_finite_result_exits_3_and_leaves_no_out(tmp_path, capsys, args, err
     ],
     ids=["density", "localized-1d", "localized-3d", "circuit", "fresnel", "momentum"],
 )
+
+
+def subcommand_inputs(tmp_path) -> dict:
+    """The input files SUBCOMMAND_RUNS name as {gaussian} and {mz}."""
+    return {"gaussian": write_json(tmp_path / "gaussian.json", GAUSSIAN_SPEC),
+            "mz": write_json(tmp_path / "mz.json", mz_netlist(0.3))}
+
+
+@SUBCOMMAND_RUNS
+def test_every_subcommand_returns_a_run_and_creates_nothing(tmp_path, args, name):
+    paths = subcommand_inputs(tmp_path)
+    parsed = cli_mod.build_parser().parse_args(["--out", str(tmp_path / "out"), *(a.format(**paths) for a in args)])
+    run = parsed.func(parsed)
+    assert isinstance(run, cli_mod.Run)
+    assert run.name == name
+    assert not any(failed for failed, _ in run.checks)
+    assert not parsed.out.exists()
+
+
+@SUBCOMMAND_RUNS
 def test_failed_json_write_exits_2_and_leaves_none_of_the_runs_files(tmp_path, capsys, args, name):
-    paths = {"gaussian": write_json(tmp_path / "gaussian.json", GAUSSIAN_SPEC),
-             "mz": write_json(tmp_path / "mz.json", mz_netlist(0.3))}
+    paths = subcommand_inputs(tmp_path)
     # a directory where the JSON artifact goes: the tables are written, then opening the JSON fails
     blocked = tmp_path / "out" / name
     blocked.mkdir(parents=True)
@@ -786,6 +805,32 @@ def test_density_integral_mismatch_exits_3_after_writing_summary(tmp_path, capsy
     assert summary["density_integral"] == pytest.approx(1.5 * summary["photon_number"], rel=1e-8)
 
 
+def test_circuit_conservation_violation_exits_3_after_writing_json(tmp_path, capsys, monkeypatch):
+    real_run_circuit = circuit_mod.run_circuit
+
+    def leaky(*args, **kwargs):
+        pulse, ledger = real_run_circuit(*args, **kwargs)
+        return replace(pulse, absorbed=pulse.absorbed + 0.25), ledger
+
+    monkeypatch.setattr(circuit_mod, "run_circuit", leaky)
+    netlist = write_json(tmp_path / "mz.json", mz_netlist(0.3))
+    code, out = run(tmp_path, "circuit", "--netlist", netlist)
+    assert code == 3
+    result = json.loads((out / "circuit_result.json").read_text())
+    assert result["conservation_sum"] == pytest.approx(1.25)
+    err = f"error: conservation violated: detectors + absorbed = {result['conservation_sum']!r}\n"
+    assert capsys.readouterr().err == err
+
+
+def test_lossless_fresnel_defect_exits_3_after_writing_json(tmp_path, capsys, monkeypatch):
+    _force_flux_defect(monkeypatch)
+    code, out = run(tmp_path, "fresnel", "--n1", "1", "--n2", "3")
+    assert code == 3
+    result = json.loads((out / "fresnel.json").read_text())
+    assert abs(result["conservation_defect"]) > 1e-12
+    assert capsys.readouterr().err == f"error: flux conservation defect {result['conservation_defect']!r}\n"
+
+
 def test_failed_csv_worker_exits_2_without_the_csv(tmp_path, capsys, monkeypatch, forks):
     monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
     fail_forked_csv_rows(monkeypatch)
@@ -971,26 +1016,11 @@ def mutated(draw, obj):
 
 # on the fuzz grid 64,1.0,1.0 each of these runs clean (test_fuzz_seeds_run_clean)
 STATE_SPECS = [
-    {"kind": "gaussian", "k0": 30.0, "sigma": 2.0, "helicity": -1, "x0": 3.0},
+    ALL_KINDS_NETLIST["sources"][0]["state"],
     {"kind": "zero"},
     {"kind": "amplitude", **photonflux.make_gaussian_state(30.0, 2.0, photonflux.KGrid1D(64, 1.0, 1.0)).to_json()},
 ]
 UNITS = [[], ["--units", "si"]]
-ALL_KINDS_NETLIST = {
-    "grid": {"N": 64, "dk": 1.0, "area": 1.0},
-    "elements": [
-        {"id": "bs", "kind": "beam_splitter", "params": {"t": [0.6, 0.0], "r": [0.0, 0.8]},
-         "in": ["src", "vac"], "out": ["a", "b"]},
-        {"id": "ifc", "kind": "interface", "params": {"n_in": 1.0, "n_out": 1.5}, "in": ["a"], "out": ["a1", "refl"]},
-        {"id": "med", "kind": "medium_segment", "params": {"chi": [1.25, 0.01], "length": 2.0},
-         "in": ["a1"], "out": ["a2"]},
-        {"id": "m", "kind": "mirror", "params": {"r": -1.0}, "in": ["b"], "out": ["b1"]},
-        {"id": "ps", "kind": "phase_shifter", "params": {"phi": 0.5}, "in": ["b1"], "out": ["b2"]},
-    ],
-    "sources": [{"port": "src", "state": STATE_SPECS[0]}],
-    "detectors": ["a2", "refl", "b2"],
-    "vacuum": ["vac"],
-}
 
 
 def run_fuzzed_json(obj, *argv):
@@ -1002,6 +1032,7 @@ def run_fuzzed_file(data: bytes, *argv):
     """Exit code of one run on ``data`` written as the {json} file; one error line iff nonzero.
 
     A flag that argparse rejects exits 2 through its usage message, whose error line starts ``photonflux: error: ``.
+    Bad input and a non-finite result are both found before ``--out`` is created, so neither leaves it.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.json"
@@ -1012,9 +1043,12 @@ def run_fuzzed_file(data: bytes, *argv):
                 code = main(["--out", str(Path(tmp) / "out"), *(a.format(json=path) for a in argv)])
             except SystemExit as exc:
                 code = exc.code
+        out_exists = (Path(tmp) / "out").exists()
     assert code in (0, 2, 3)
     error_lines = [line for line in err.getvalue().splitlines() if line.startswith(("error: ", "photonflux: error: "))]
     assert len(error_lines) == (code != 0)
+    if code == 2 or (code == 3 and error_lines[0].startswith("error: non-finite result: ")):
+        assert not out_exists
     return code
 
 
@@ -1024,6 +1058,35 @@ def test_fuzz_seeds_run_clean():
         for state in STATE_SPECS:
             for command in (["density"], ["momentum", "--chi", "1.25"]):
                 assert run_fuzzed_json(state, *units, "--grid", "64,1.0,1.0", *command, "--state", "{json}") == 0
+
+
+# every finite float, and the signed edges where a product or quotient of flags underflows or overflows
+flag_float = finite | st.sampled_from([5e-324, 1e-320, 1e308, sys.float_info.max]).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+# three in four positive, for a flag that exits 2 on every negative value before it reaches the numerics
+mostly_positive = flag_float | flag_float.map(abs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(state=st.sampled_from(STATE_SPECS), units=st.sampled_from(UNITS), time=flag_float, dk=mostly_positive,
+       area=mostly_positive)
+def test_density_flags_never_crash(state, units, time, dk, area):
+    run_fuzzed_json(state, *units, f"--grid=64,{dk!r},{area!r}", "density", "--state", "{json}", f"--time={time!r}")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n1=st.tuples(mostly_positive, flag_float), n2=st.tuples(mostly_positive, flag_float), paper=st.booleans())
+def test_fresnel_flags_never_crash(n1, n2, paper):
+    run_fuzzed_file(b"", "fresnel", "--n1={!r},{!r}".format(*n1), "--n2={!r},{!r}".format(*n2),
+                    *["--paper-convention"][:paper])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(state=st.sampled_from(STATE_SPECS), units=st.sampled_from(UNITS), chi=st.tuples(flag_float, flag_float))
+def test_momentum_chi_never_crashes(state, units, chi):
+    run_fuzzed_json(state, *units, "--grid", "64,1.0,1.0", "momentum", "--state", "{json}",
+                    "--chi={!r},{!r}".format(*chi))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -1178,8 +1241,7 @@ def test_non_finite_localized_run_prints_one_line_from_a_shell(tmp_path, args, e
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e16, 1e-5, 9999999999999998.0,
                1e15, 1e-4, 0.1, 1.0 / 3.0, 1.7976931348623157e308]
-# values the template leaves to json.dumps: non-finite ones, which exit 3, and an int, written without ".0"
-UNTEMPLATED = [float("nan"), float("inf"), float("-inf"), 0]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 ledger_number = (finite | st.sampled_from(EDGE_FLOATS)).flatmap(
     lambda x: st.sampled_from([x, np.float64(x)])
 )
@@ -1211,23 +1273,25 @@ def circuit_payload(draw):
     # many rows repeat a few drawn ones: drawing hundreds costs seconds and tests no more of the template
     rows=st.lists(ledger_row, max_size=3) | st.lists(ledger_row, min_size=2, max_size=6).map(lambda r: r * 40),
     planted=st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(["number_in", "number_out", "absorbed"]),
-                                  st.sampled_from(UNTEMPLATED)),
+                                  st.sampled_from(NON_FINITE)),
 )
 def test_ledger_template_writes_what_json_dumps_writes(payload, rows, planted):
+    name = None
     if planted is not None and rows:
         index, field, value = planted
-        rows[index % len(rows)] = replace(rows[index % len(rows)], **{field: value})
-    ledger = [{"element": r.element_id, "number_in": r.number_in, "number_out": r.number_out,
-               "absorbed": r.absorbed} for r in rows]
+        row = rows[index % len(rows)] = replace(rows[index % len(rows)], **{field: value})
+        name = f"ledger[{row.element_id}].{field}"
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "circuit_result.json"
-        try:
-            expected = json.dumps(payload | {"ledger": ledger}, sort_keys=True, indent=2, allow_nan=False)
-        except ValueError as exc:
+        out = Path(tmp) / "out"
+        run = cli_mod.Run({}, "circuit_result.json", payload, tuple(rows))
+        if name is not None:
             with pytest.raises(cli_mod.InvariantError) as caught:
-                cli_mod._write_run(Path(tmp), {}, path.name, payload, ledger=tuple(rows))
-            assert str(caught.value) == f"circuit_result.json: {exc}"
-            assert not path.exists()
+                cli_mod._write_run(out, run)
+            assert str(caught.value) == f"non-finite result: {name}"
+            assert not out.exists()
         else:
-            cli_mod._write_run(Path(tmp), {}, path.name, payload, ledger=tuple(rows))
-            assert path.read_bytes() == (expected + "\n").encode()
+            cli_mod._write_run(out, run)
+            ledger = [{"element": r.element_id, "number_in": r.number_in, "number_out": r.number_out,
+                       "absorbed": r.absorbed} for r in rows]
+            expected = json.dumps(payload | {"ledger": ledger}, sort_keys=True, indent=2, allow_nan=False)
+            assert (out / run.name).read_bytes() == (expected + "\n").encode()

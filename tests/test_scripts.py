@@ -198,12 +198,16 @@ GOLDEN_RUNS = [
     ("density-time-negative-zero", 0, ["density", "--state", "{gaussian}", "--time", "-0.0"]),
     ("density-amplitude-si", 0, ["--units", "si", "density", "--state", "{amplitude}", "--time", "0.5"]),
     ("density-underflow", 2, ["density", "--state", "{underflow}"]),
+    ("momentum-non-finite", 3, ["momentum", "--state", "{huge_amplitude}", "--chi", "1.25"]),
+    ("fresnel-non-finite", 3, ["fresnel", "--n1", "1e-320", "--n2", "1"]),
 ]
 # each case's sha256 by artifact_digest.op_digest's rule (exit code, stderr, then every artifact's path and
 # bytes), as printed before the state reader and the subcommand imports were reorganized; the two non-finite
 # cases, recorded when every subcommand came to write through one checked path, pin an exit 3 with no artifact;
 # the two density runs after them were recorded before the synthesis factors were cached, and the underflow
-# case, which exited 3 with all three artifacts until then, pins an exit 2 with none
+# case, which exited 3 with all three artifacts until then, pins an exit 2 with none; the circuit case and the
+# last two, recorded when one rule came to name every non-finite result, pin that rule's line for circuit,
+# momentum and fresnel
 RECORDED_GOLDEN = {
     ("2.4.6", "x86_64", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): {
         "fresnel-lossless": "3be654724b111e0422df38b5bbe5b73109ffe0a9a063f599bad3c6936a21e03e",
@@ -220,10 +224,12 @@ RECORDED_GOLDEN = {
         "malformed-zero": "cc0a99faf3037cf8346a6f8dcf8cfb8aee031b49f90dc84796b541513b318993",
         "malformed-amplitude": "ad7e0211ed15b20c04c0ccef24916e1eb7bf545f38895d9866a1e6a336b5f9c1",
         "density-non-finite": "0ee61dd96aba9fbef82ec61d32cdb784f720fec8aa5253e6a9615f2f1fc23208",
-        "circuit-nan-interface": "42fed1697d683804ad8d9ceb85abc600adb99acfde53656dea55b3a1ff75676b",
+        "circuit-nan-interface": "fe718d9510943914a48c728d2110fcc96211209dd2599c02a4c4152dc54add20",
         "density-time-negative-zero": "9cfde072edf068114b68e1e58f479b1a4334fae9934afe6b16105e22ba8b0f20",
         "density-amplitude-si": "8159621c5f4221aa14a90d914c7bb3e14feda811f43177226f879d9470f2d069",
         "density-underflow": "2d45a2deaca92cbcb63b6a6d06557951a1f5c54ae339f2a5664d1183f3220e08",
+        "momentum-non-finite": "8e9cd0de79730bc45c3174c3fc2f545cde482a0e06157535400deddaf9f8abec",
+        "fresnel-non-finite": "8406bdd060c85dbec57aab01c4e348ddbcdf9fc7aa5bf3d3c058aa3de42b8f38",
     },
 }
 
