@@ -98,17 +98,16 @@ _LEDGER_NUMBERS = ("absorbed", "number_in", "number_out")  # in the order a row 
 
 def _write_run(out: Path, run: Run) -> None:
     """Write one run's artifacts: the only code that creates ``out`` or writes in it.  The first NaN or infinity
-    raises :class:`InvariantError` naming it; the JSON is rendered next, and only then are ``out``, the tables and
-    the JSON written.  If a write fails, the files written are removed."""
+    raises :class:`InvariantError` naming it; the JSON is rendered next, and only then are ``out``, the tables (in
+    one :func:`density.write_csv_tables` pass) and the JSON written.  If a write fails, the files are removed."""
     for quantity in _non_finite(run):
         raise InvariantError(f"non-finite result: {quantity}")
     text = _render_json(run.payload, run.ledger)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    dens.write_csv_tables([(out / table, f"{comment}{','.join(columns)}\n", tuple(columns.values()))
+                           for table, (comment, columns) in run.tables.items()])
+    written = [out / table for table in run.tables]
     try:
-        for table, (comment, columns) in run.tables.items():
-            dens.write_density_csv(out / table, f"{comment}{','.join(columns)}\n", tuple(columns.values()))
-            written.append(out / table)
         with open(out / run.name, "wb") as fh:
             written.append(out / run.name)
             fh.write(text.encode())

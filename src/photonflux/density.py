@@ -8,9 +8,11 @@ The physical density between states c1 and c2 is the real pairing
 which integrates (sum rho dx A) to Re <c1, c2> and, for c1 = c2, to the
 photon number.  The current is the c-scaled curl pairing and equals c*rho
 pointwise for forward-only states, which makes the continuity residual a
-pure time-differencing check.
+pure time-differencing check.  :func:`write_csv_tables` writes every CSV
+table of a run in one pass.
 """
 
+import contextlib
 import os
 import threading
 import warnings
@@ -24,8 +26,6 @@ from .units import NATURAL, UnitsConfig
 
 # rows formatted per block: bounds the arrays a block's formatting holds
 _CSV_BLOCK_ROWS = 1024
-# bytes copied from a worker's pipe into the CSV file per read
-_PIPE_CHUNK = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def _usable_cpus() -> int:
 
 
 def _csv_workers(rows: int) -> int:
-    """Processes that format a table of ``rows`` rows; 1 means no fork.
+    """Processes that format a run of tables of ``rows`` rows; 1 means no fork.
 
     A fork costs a few ms, so each worker gets at least four blocks, and a
     process with other Python threads is never forked.
@@ -307,28 +307,33 @@ def _csv_workers(rows: int) -> int:
     return max(1, min(_usable_cpus(), rows // (4 * _CSV_BLOCK_ROWS)))
 
 
-def _format_rows(write, columns, start: int, stop: int) -> None:
-    """Pass rows ``[start, stop)`` to ``write`` as CSV bytes, one block at a time.
-
-    Each block is a ``(rows, columns)`` float64 copy, which
-    :func:`floatrepr.csv_block` renders with Python's ``repr`` of every value.
-    """
+def _format_block(writes, columns, tables, lo: int, hi: int) -> None:
+    """Pass rows ``[lo, hi)`` of each table, a list of indices into the distinct ``columns``, to its ``writes``
+    entry as CSV bytes: :func:`floatrepr.slots` renders each column's rows once, in one float64 copy."""
     # imported here: building its tables costs milliseconds and about 1 MB of
     # RSS, which the subcommands that write no CSV need not pay
     from . import floatrepr
 
+    words = floatrepr.slots(np.stack([column[lo:hi] for column in columns], axis=1)).reshape(hi - lo, -1, 4)
+    for write, table in zip(writes, tables):
+        # a gathered copy: csv_rows writes a table's separators into the slots
+        write(floatrepr.csv_rows(words.take(table, axis=1)))
+
+
+def _format_rows(writes, columns, tables, start: int, stop: int) -> None:
+    """:func:`_format_block` on rows ``[start, stop)``, one block at a time."""
     for lo in range(start, stop, _CSV_BLOCK_ROWS):
-        hi = min(lo + _CSV_BLOCK_ROWS, stop)
-        write(floatrepr.csv_block(np.stack([column[lo:hi] for column in columns], axis=1)))
+        _format_block(writes, columns, tables, lo, min(lo + _CSV_BLOCK_ROWS, stop))
 
 
-def _fork_rows(columns, start: int, stop: int) -> tuple[int, int]:
-    """Fork a child that formats rows ``[start, stop)`` into a pipe; returns (pid, read fd).
+def _fork_rows(files, columns, tables, start: int, stop: int, earlier) -> tuple[int, int]:
+    """Fork a worker that appends rows ``[start, stop)`` of every table to ``files``; returns (pid, go fd).
 
-    The child holds its whole range before writing, so a full pipe never
-    stalls its formatting.
+    The worker holds its whole range, then waits for one byte on the go
+    pipe and writes its rows to the descriptors it inherited (their offsets
+    are this process's); a pipe closed with no byte ends it unwritten.
     """
-    read_fd, write_fd = os.pipe()
+    read_fd, go_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns after forking a process with native threads
@@ -338,65 +343,82 @@ def _fork_rows(columns, start: int, stop: int) -> tuple[int, int]:
             pid = os.fork()
     except OSError:
         os.close(read_fd)
-        os.close(write_fd)
+        os.close(go_fd)
         raise
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
-            chunks = []
-            _format_rows(chunks.append, columns, start, stop)
-            with open(write_fd, "wb") as pipe:
-                pipe.writelines(chunks)
-            code = 0
+            for fd in (go_fd, *(fd for _, fd in earlier)):  # the caller alone holds the go pipes
+                os.close(fd)
+            texts = [[] for _ in tables]
+            _format_rows([text.append for text in texts], columns, tables, start, stop)
+            if os.read(read_fd, 1):
+                for fh, text in zip(files, texts):
+                    for view in map(memoryview, text):
+                        while view:
+                            view = view[os.write(fh.fileno(), view):]
+                code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
+    os.close(read_fd)
+    return pid, go_fd
 
 
-def write_density_csv(path, header: str, columns) -> None:
-    """CSV export: ``header`` verbatim, then one row per index of the float ``columns``.
+def write_csv_tables(tables) -> None:
+    """CSV export of one run: each ``(path, header, columns)`` of ``tables`` is written as ``header`` verbatim, then
+    one row per index of the float ``columns``, all of one length.
 
     Every value is written as Python's ``repr`` of it, the shortest string
-    that reads back as the same float, rendered for whole blocks of rows at
-    once by :mod:`photonflux.floatrepr`; identical inputs give byte-identical
-    files.  Large tables are split into contiguous row ranges, one per
-    usable CPU: forked children format all but the first, which this
-    process formats while they run, and their output is copied into the
-    file in row order.  If a child fails, :class:`OSError` is raised.  On
-    any exception raised once the file is opened, the file is removed.
+    that reads back as the same float, by :mod:`photonflux.floatrepr` for
+    blocks of rows of every table at once; a column that tables share is
+    rendered once.  Identical inputs give byte-identical files.  A large
+    run's rows are split once into ranges, one per usable CPU: forked
+    workers format the rows of every range but the first, which this
+    process writes meanwhile, then each in turn gets a go byte and appends
+    its rows.  A failed worker raises :class:`OSError`; on any exception
+    once a file is opened, every file of the run is removed.
     """
-    if len({len(column) for column in columns}) != 1:
-        raise ValueError(f"CSV columns differ in length: {[len(column) for column in columns]}")
-    rows = len(columns[0])
+    columns = [column for _, _, table in tables for column in table]
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    # each column object once, and each table as indices into them
+    distinct = list({id(column): column for column in columns}.values())
+    index = {id(column): i for i, column in enumerate(distinct)}
+    layout = [[index[id(column)] for column in table] for _, _, table in tables]
+    rows = max(lengths, default=0)
     workers = _csv_workers(rows)
     bounds = [rows * i // workers for i in range(workers + 1)]
-    children = []  # (pid, read fd), in range order
-    opened = False
+    files, children = [], []  # children: (pid, go fd), in range order
     try:
+        for path, header, _ in tables:
+            files.append(open(path, "wb"))
+            files[-1].write(header.encode())
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_rows(columns, start, stop))
-        with open(path, "wb") as fh:
-            opened = True
-            fh.write(header.encode())
-            _format_rows(fh.write, columns, bounds[0], bounds[1])
-            # one reused buffer: a new bytes object per read fragmented the
-            # heap of a long-running caller and raised its peak RSS
-            buffer = memoryview(bytearray(_PIPE_CHUNK))
-            for _, read_fd in children:
-                while count := os.readv(read_fd, [buffer]):
-                    fh.write(buffer[:count])
+            children.append(_fork_rows(files, distinct, layout, start, stop, children))
+        _format_rows([fh.write for fh in files], distinct, layout, bounds[0], bounds[1])
+        for fh in files:
+            fh.flush()
+        while children:
+            pid, go_fd = children[0]
+            with contextlib.suppress(BrokenPipeError):  # a worker that exited early: its status tells
+                os.write(go_fd, b"\1")
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(go_fd)
+            del children[0]
+            if code:
+                paths = ", ".join(str(path) for path, _, _ in tables)
+                raise OSError(f"{paths}: a CSV row worker failed, exit status {code}")
     except BaseException:
-        # a partial table is no artifact, whatever stopped the write
-        if opened:
-            os.unlink(path)
+        # a partial run is no artifact, whatever stopped the write
+        for fh in files:
+            os.unlink(fh.name)
         raise
     finally:
-        # closing the pipes first lets a child still writing fail instead of block
-        for _, read_fd in children:
-            os.close(read_fd)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-    if any(codes):
-        os.unlink(path)
-        raise OSError(f"{path}: a CSV row worker failed, exit statuses {codes}")
+        # closing the go pipes releases every worker left without writing
+        for _, go_fd in children:
+            os.close(go_fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+        for fh in files:
+            fh.close()

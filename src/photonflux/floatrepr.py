@@ -13,12 +13,12 @@ is the answer.  The layout is CPython's: fixed notation when
 values, otherwise ``d[.ddd]e+XX`` with at least two exponent digits;
 ``-0.0``, ``nan``, ``inf`` and ``-inf``.
 
-Each value's text, with the separator after it, is built in a 32-byte slot
-of four little-endian uint64 words: the sign and any "0.000" right-aligned
-in the first word, then the digits with the point among them, and the
-exponent and separator at a fixed place in the last word, with zero bytes
-around them.  The nonzero bytes of the slots, in order, are then the CSV
-text.
+:func:`slots` builds each value's text in a 32-byte slot of four
+little-endian uint64 words: the sign and any "0.000" right-aligned in the
+first word, then the digits with the point among them, and the exponent at
+a fixed place in the last word, with zero bytes around them.  Per table,
+:func:`csv_rows` puts each separator in its slot's last byte; the nonzero
+bytes of the slots, in order, are then the CSV text.
 """
 
 import numpy as np
@@ -259,22 +259,22 @@ _DIGITS = np.zeros((1024 + 57, 2), dtype=_U64)
 _DIGITS[1023:] = [(d, 10**d) for d in (len(str(1 << i)) for i in range(58))]
 
 # by decpt + _DECPT_OFFSET: the digits kept at least (up to the point and one after it for
-# ddd.0), the point's byte (0 for none), the exponent suffix's index and the "0.000" prefix's
+# ddd.0), the point's byte (0 for none), the exponent's index and the "0.000" prefix's
 _DECPT_OFFSET = 330
 _EXPONENTS = [f"e{x:+03d}" for x in range(-324, 309)] + [""]
 _NO_EXPONENT = len(_EXPONENTS) - 1
 _NOTATION = np.array(
-    [(d + 1, d, 2 * _NO_EXPONENT, 0) if 0 < d <= 16 else (0, 0, 2 * _NO_EXPONENT, 1 - d) if -4 < d <= 0
-     else (0, 1, 2 * min(max(d + 323, 0), _NO_EXPONENT - 1), 0) for d in range(-_DECPT_OFFSET, _DECPT_OFFSET)],
+    [(d + 1, d, _NO_EXPONENT, 0) if 0 < d <= 16 else (0, 0, _NO_EXPONENT, 1 - d) if -4 < d <= 0
+     else (0, 1, min(max(d + 323, 0), _NO_EXPONENT - 1), 0) for d in range(-_DECPT_OFFSET, _DECPT_OFFSET)],
     dtype=np.int16,
 )
 # the sign and "0." followed by 0-3 zeros, right-aligned, at negative * 5 + (1 - decpt),
 # or the sign alone at negative * 5
 _PREFIX = np.array([_right(sign + lead) for sign in ("", "-") for lead in ["", "0.", "0.0", "0.00", "0.000"]],
                    dtype=_U64)
-# each exponent followed by "," and by a newline, at bytes 2 to 7 of a word
-_SUFFIX = np.frombuffer("".join(f"\0\0{e}{sep}".ljust(8, "\0") for e in _EXPONENTS for sep in ",\n").encode(),
-                        dtype="<u8")
+# each exponent at bytes 2 to 6 of a word; byte 7 is the separator's
+_SUFFIX = np.frombuffer("".join(f"\0\0{e}".ljust(8, "\0") for e in _EXPONENTS).encode(), dtype="<u8")
+_COMMA, _NEWLINE = _U64(ord(",") << 56), _U64(ord("\n") << 56)
 _POINT_LENGTH = 18
 
 
@@ -305,12 +305,10 @@ _BODY = _body_table()
 _SPECIAL = np.array([_right(t) for t in ("0.0", "inf", "nan", "-0.0", "-inf", "nan")], dtype=_U64)
 
 
-def csv_block(block: np.ndarray) -> bytes:
-    """The CSV rows of a 2-D float64 array: ``",".join(map(repr, row)) + "\\n"`` per row."""
-    rows, cols = block.shape
-    if rows * cols == 0:
-        return b""
-    bits = np.ascontiguousarray(block, dtype=np.float64).reshape(-1).view(_U64)
+def slots(values: np.ndarray) -> np.ndarray:
+    """Each float64 value's ``repr`` in a 32-byte slot, as an ``(n, 4)`` uint64 array in ``values``' C order:
+    the text's bytes are nonzero, every other byte (the last among them) zero."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(_U64)
     f, e, special = _shortest_decimal(bits)
 
     # f's digit count, from its binary exponent and one comparison
@@ -339,8 +337,6 @@ def csv_block(block: np.ndarray) -> bytes:
     layout *= _POINT_LENGTH
     layout += length
     body = _BODY.take(layout, axis=0)
-    suffix = notation[:, 2].reshape(rows, cols)
-    suffix[:, -1] += 1
 
     words = np.empty((len(bits), 4), dtype=np.dtype("<u8"))
     words[:, 0] = _PREFIX.take(notation[:, 3] + 5 * (bits >> 63).view(np.intp))
@@ -360,15 +356,26 @@ def csv_block(block: np.ndarray) -> bytes:
         np.bitwise_and(moved, body[:, 3 * j + 1], out=out)
         out |= body[:, 3 * j + 2]
         out |= w & body[:, 3 * j]
-    # the exponent and separator at bytes 18 to 23: a gap of zero bytes may precede them
-    words[:, 3] |= _SUFFIX.take(suffix.reshape(-1))
+    # the exponent at bytes 26 to 30: a gap of zero bytes may precede it
+    words[:, 3] |= _SUFFIX.take(notation[:, 2])
 
     if len(special):
         special_bits = bits[special]
         nan = (special_bits << 1) > (0x7FF << 53)
         kind = np.where(nan, 2, (special_bits >> 52 & 0x7FF) != 0) + 3 * (special_bits >> 63).view(np.intp)
         words[special, 0] = _SPECIAL[kind]
-        words[special, 1] = np.where(special % cols == cols - 1, ord("\n"), ord(","))
-        words[special, 2:] = 0
-    text = words.view(np.uint8).reshape(-1)
-    return text[text != 0].tobytes()
+        words[special, 1:] = 0
+    return words
+
+
+def csv_rows(words: np.ndarray) -> bytes:
+    """The CSV rows of a ``(rows, columns, 4)`` array of :func:`slots`: "," ends each slot but a row's last, a
+    newline that one.  The separators are written into ``words``."""
+    words[:, :-1, 3] |= _COMMA
+    words[:, -1:, 3] |= _NEWLINE
+    return words.tobytes().translate(None, b"\0")
+
+
+def csv_block(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float64 array: ``",".join(map(repr, row)) + "\\n"`` per row."""
+    return csv_rows(slots(block).reshape(*block.shape, 4))

@@ -76,29 +76,50 @@ def forks(monkeypatch):
 def fail_forked_csv_rows(monkeypatch):
     """Make every forked CSV row worker raise; this process still formats its own rows."""
     parent = os.getpid()
-    real_format_rows = density._format_rows
+    real_format_block = density._format_block
 
-    def format_rows(*args):
+    def format_block(*args):
         if os.getpid() != parent:
             raise RuntimeError("row worker failure")
-        real_format_rows(*args)
+        real_format_block(*args)
 
-    monkeypatch.setattr(density, "_format_rows", format_rows)
+    monkeypatch.setattr(density, "_format_block", format_block)
 
 
 def fill_disk_while_formatting(monkeypatch, columns=None):
     """Make this process's CSV formatting write part of a block, then fail as a full disk does.
 
-    With ``columns``, only tables of that many columns fail; forked row
-    workers format as usual.
+    With ``columns``, only a table of that many columns fails, before its
+    first block; forked row workers format as usual.
     """
     parent = os.getpid()
-    real_format_rows = density._format_rows
+    real_format_block = density._format_block
 
-    def format_rows(write, table, start, stop):
-        if os.getpid() == parent and columns in (None, len(table)):
-            write(b"0.0,")
+    def format_block(writes, distinct, tables, lo, hi):
+        failing = [write for write, table in zip(writes, tables) if columns in (None, len(table))]
+        if os.getpid() == parent and failing:
+            failing[0](b"0.0,")
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        real_format_rows(write, table, start, stop)
+        real_format_block(writes, distinct, tables, lo, hi)
 
-    monkeypatch.setattr(density, "_format_rows", format_rows)
+    monkeypatch.setattr(density, "_format_block", format_block)
+
+
+def spy_worker_writes(monkeypatch, log, error=None):
+    """Append the size of each ``os.write`` a forked CSV row worker makes to the file ``log``.
+
+    With ``error``, each of those writes then fails with that errno, as a
+    full disk fails it.
+    """
+    parent = os.getpid()
+    real_write = os.write
+
+    def write(fd, data):
+        if os.getpid() != parent:
+            with open(log, "a") as fh:
+                fh.write(f"{len(data)}\n")
+            if error is not None:
+                raise OSError(error, os.strerror(error))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)

@@ -24,7 +24,7 @@ import photonflux.cli as cli_mod
 import photonflux.optics as optics_mod
 from photonflux.cli import main
 
-from conftest import ALL_KINDS_NETLIST, fail_forked_csv_rows, fill_disk_while_formatting
+from conftest import ALL_KINDS_NETLIST, fail_forked_csv_rows, fill_disk_while_formatting, spy_worker_writes
 
 GAUSSIAN_SPEC = {"kind": "gaussian", "k0": 600.0, "sigma": 20.0, "helicity": 1}
 
@@ -852,8 +852,33 @@ def test_density_exits_2_without_artifacts_when_fields_csv_fails(tmp_path, capsy
     code, out = run(tmp_path, "--grid", "16384,1.0,1.0", "density", "--state", spec)
     assert code == 2
     assert capsys.readouterr().err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
-    # one worker each for density.csv and fields.csv
-    assert len(forks) == 2
+    # one worker for the rows of density.csv and fields.csv both
+    assert len(forks) == 1
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_density_run_at_two_cpus_forks_once(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
+    spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    code, out = run(tmp_path, "--grid", "16384,1.0,1.0", "density", "--state", spec)
+    assert code == 0
+    # one worker formats the second half of density.csv and fields.csv both
+    assert len(forks) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["density.csv", "fields.csv", "summary.json"]
+
+
+def test_density_exits_2_without_artifacts_when_a_worker_write_fails(tmp_path, capsys, monkeypatch, forks):
+    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
+    spy_worker_writes(monkeypatch, tmp_path / "worker-writes", errno.ENOSPC)
+    spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    code, out = run(tmp_path, "--grid", "16384,1.0,1.0", "density", "--state", spec)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'density.csv'}, {out / 'fields.csv'}: a CSV row worker failed")
+    assert err.count("error: ") == 1
+    assert len(forks) == 1
     assert list(out.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

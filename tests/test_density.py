@@ -28,11 +28,11 @@ from photonflux import (
 )
 import photonflux.density as density
 from photonflux.cli import _comment_line
-from photonflux.density import _CSV_BLOCK_ROWS, write_density_csv
+from photonflux.density import _CSV_BLOCK_ROWS, write_csv_tables
 from photonflux.errors import DimensionError, DomainError, StepSizeError
 from photonflux.units import NATURAL
 
-from conftest import fail_forked_csv_rows, fill_disk_while_formatting, random_band_state
+from conftest import fail_forked_csv_rows, fill_disk_while_formatting, random_band_state, spy_worker_writes
 
 TWO_PI = 2.0 * np.pi
 
@@ -476,7 +476,7 @@ def test_density_csv_header(tmp_path, grid):
     field = density_field(g, g, 0.0)
     current = current_field(g, g, 0.0)
     path = tmp_path / "density.csv"
-    write_density_csv(path, _comment_line(0.25, grid.k_max, NATURAL) + "x,rho,J\n", (field.x, field.rho, current))
+    write_csv_tables([(path, _comment_line(0.25, grid.k_max, NATURAL) + "x,rho,J\n", (field.x, field.rho, current))])
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# t=0.25 k_max=")
     assert "units=natural" in lines[0]
@@ -487,9 +487,10 @@ def test_density_csv_header(tmp_path, grid):
 # each value at every 13th row, so each lands on both sides of every row range
 SPECIAL_VALUES = [-0.0, 5e-324, 2.5e-310, float("nan"), float("inf"), -float("inf"), 1e16, 1e-5]
 # rows of a table split between at most four workers: block edges, worker
-# thresholds (4 blocks each) and range edges
+# thresholds (4 blocks each) and range edges; at 2 CPUs, 8194 rows leave this
+# process a last block of one row, small enough to stay in a file's buffer
 CSV_ROWS = [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
-            4095, 4096, 4097, 8191, 8192, 8193, 12289, 50001]
+            4095, 4096, 4097, 8191, 8192, 8193, 8194, 12289, 50001]
 
 
 def _csv_columns(rows):
@@ -515,10 +516,100 @@ def test_density_csv_rows_across_block_boundaries(tmp_path, monkeypatch, forks, 
         monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
         forks.clear()
         path = tmp_path / f"rows{cpus}.csv"
-        write_density_csv(path, "# head\nx,a,b,c\n", columns)
+        write_csv_tables([(path, "# head\nx,a,b,c\n", columns)])
         assert path.read_bytes() == expected
         # one worker per usable CPU, each with at least four blocks
         assert len(forks) == max(1, min(cpus, rows // (4 * _CSV_BLOCK_ROWS))) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _workers(rows, cpus):
+    """Row ranges of a run of ``rows`` rows at ``cpus`` usable CPUs: one per CPU, each of at least four blocks."""
+    return max(1, min(cpus, rows // (4 * _CSV_BLOCK_ROWS)))
+
+
+def _shared_run(tmp_path, rows):
+    """Two tables sharing the column ``wide`` (SPECIAL_VALUES, -0.0): last in the first, first in the second."""
+    x, re, im, wide = _csv_columns(rows)
+    return [(tmp_path / "a.csv", "# a\nx,re,wide\n", (x, re, wide)), (tmp_path / "b.csv", "wide,im\n", (wide, im))]
+
+
+@pytest.mark.parametrize("rows", CSV_ROWS, ids=str)
+def test_shared_column_gives_the_bytes_of_each_table_alone(tmp_path, monkeypatch, forks, rows):
+    tables = _shared_run(tmp_path, rows)
+    expected = [_csv_text(header, columns).encode() for _, header, columns in tables]
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        write_csv_tables(tables)
+        assert [path.read_bytes() for path, _, _ in tables] == expected
+        # one row split per run, not one per table
+        assert len(forks) == _workers(rows, cpus) - 1
+        for path, header, columns in tables:
+            write_csv_tables([(path, header, columns)])
+        assert [path.read_bytes() for path, _, _ in tables] == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", CSV_ROWS, ids=str)
+def test_shared_column_slots_are_built_once_per_block(tmp_path, monkeypatch, rows):
+    from photonflux import floatrepr
+
+    tables = _shared_run(tmp_path, rows)
+    real_slots = floatrepr.slots
+    shapes = []
+
+    def slots(values):
+        shapes.append(values.shape)
+        return real_slots(values)
+
+    monkeypatch.setattr(floatrepr, "slots", slots)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        shapes.clear()
+        write_csv_tables(tables)
+        # this process's range: every block holds the four distinct columns of the five written
+        stop = rows // _workers(rows, cpus)
+        assert shapes == [(min(_CSV_BLOCK_ROWS, stop - lo), 4) for lo in range(0, stop, _CSV_BLOCK_ROWS)]
+
+
+def test_parent_failure_before_the_go_byte_leaves_no_child_file_or_byte(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    log = tmp_path / "worker-writes"
+    spy_worker_writes(monkeypatch, log)
+    tables = _shared_run(tmp_path, 50001)
+    parent = os.getpid()
+    real_format_block = density._format_block
+
+    def format_block(writes, columns, layout, lo, hi):
+        real_format_block(writes, columns, layout, lo, hi)
+        if os.getpid() == parent and hi == 50001 // 4:
+            raise RuntimeError("stopped after this process's rows")
+
+    monkeypatch.setattr(density, "_format_block", format_block)
+    with pytest.raises(RuntimeError):
+        write_csv_tables(tables)
+    assert len(forks) == 3
+    assert not log.exists()
+    assert sorted(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_write_on_a_full_disk_removes_every_file_of_the_run(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    log = tmp_path.parent / f"{tmp_path.name}-worker-writes"
+    spy_worker_writes(monkeypatch, log, errno.ENOSPC)
+    tables = _shared_run(tmp_path, 50001)
+    with pytest.raises(OSError) as exc:
+        write_csv_tables(tables)
+    assert str(exc.value).startswith(f"{tmp_path / 'a.csv'}, {tmp_path / 'b.csv'}: a CSV row worker failed")
+    assert len(forks) == 3
+    # the first worker's write failed, and no later worker got its go byte
+    assert len(log.read_text().splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -528,7 +619,7 @@ def test_failed_csv_worker_removes_the_file(tmp_path, monkeypatch, forks):
     fail_forked_csv_rows(monkeypatch)
     path = tmp_path / "rows.csv"
     with pytest.raises(OSError) as exc:
-        write_density_csv(path, "x\n", (np.arange(50001) * 0.5,))
+        write_csv_tables([(path, "x\n", (np.arange(50001) * 0.5,))])
     assert str(path) in str(exc.value)
     assert len(forks) == 3
     assert not path.exists()
@@ -542,7 +633,7 @@ def test_failed_csv_write_removes_the_file(tmp_path, monkeypatch, forks, rows):
     fill_disk_while_formatting(monkeypatch)
     path = tmp_path / "rows.csv"
     with pytest.raises(OSError) as exc:
-        write_density_csv(path, "x\n", (np.arange(rows) * 0.5,))
+        write_csv_tables([(path, "x\n", (np.arange(rows) * 0.5,))])
     assert exc.value.errno == errno.ENOSPC
     assert len(forks) == max(1, min(4, rows // (4 * _CSV_BLOCK_ROWS))) - 1
     assert not path.exists()
@@ -555,7 +646,7 @@ def test_csv_rows_are_formatted_in_process_without_fork(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     columns = _csv_columns(50001)
     path = tmp_path / "rows.csv"
-    write_density_csv(path, "h\n", columns)
+    write_csv_tables([(path, "h\n", columns)])
     assert path.read_bytes() == _csv_text("h\n", columns).encode()
 
 
@@ -567,7 +658,7 @@ def test_csv_rows_are_formatted_in_process_while_a_thread_runs(tmp_path, monkeyp
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        write_density_csv(path, "h\n", columns)
+        write_csv_tables([(path, "h\n", columns)])
     finally:
         release.set()
         thread.join(timeout=10)
@@ -592,7 +683,7 @@ def test_fork_warning_raised_as_error_leaves_no_child_behind(tmp_path, monkeypat
     path = tmp_path / "rows.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        write_density_csv(path, "h\n", columns)
+        write_csv_tables([(path, "h\n", columns)])
     assert path.read_bytes() == _csv_text("h\n", columns).encode()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
