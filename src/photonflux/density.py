@@ -51,37 +51,39 @@ class DensityField:
         return float(np.sum(self.x * weight) / norm)
 
 
-def _pair_fields(
-    c1: SpectralAmplitude, c2: SpectralAmplitude, t: float, units: UnitsConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A2+, E1+ and B1+ at time t: the operands of the density and current pairings.
+def _pairing(
+    c1: SpectralAmplitude, c2: SpectralAmplitude, t: float, units: UnitsConfig, partner: str, scale: complex
+) -> np.ndarray:
+    """scale * A2+ * conj(P1+) at time t, P1+ the field ``partner`` of c1's synthesis; zero if helicities differ.
 
-    Opposite helicities do not pair, so all three are zero then.
+    The conjugated partner row is copied out before c2 is synthesized, so at
+    most one (3, N) synthesis buffer is alive at a time and the returned
+    array shares memory with none.
     """
     if c1.grid != c2.grid:
         raise DimensionError("bilinears require a common grid")
     if c1.helicity != c2.helicity:
-        zero = np.zeros(c1.grid.n, complex)
-        return zero, zero, zero
-    f1 = synthesize_fields(c1, t, units)
-    f2 = synthesize_fields(c2, t, units)
-    return f2.a_plus, f1.e_plus, f1.b_plus
+        return np.zeros(c1.grid.n, complex)
+    conj_partner = np.conj(getattr(synthesize_fields(c1, t, units), partner))
+    pairing = scale * synthesize_fields(c2, t, units).a_plus
+    return np.multiply(pairing, conj_partner, out=pairing)
 
 
 def positive_frequency_density(
     c1: SpectralAmplitude, c2: SpectralAmplitude, t: float, units: UnitsConfig = NATURAL
 ) -> np.ndarray:
-    """rho+(x) = (i eps0/2 hbar) A2+(x) conj(E1+(x)) on the grid's x; zero if helicities differ."""
-    a2, e1, _ = _pair_fields(c1, c2, t, units)
-    return (1j * units.eps0 / (2.0 * units.hbar)) * a2 * np.conj(e1)
+    """rho+(x) = (i eps0/2 hbar) A2+(x) conj(E1+(x)) on the grid's x; zero if helicities differ.
+
+    An array of its own, as are rho and J, formed with one (3, N) synthesis alive at a time.
+    """
+    return _pairing(c1, c2, t, units, "e_plus", 1j * units.eps0 / (2.0 * units.hbar))
 
 
 def density_field(
     c1: SpectralAmplitude, c2: SpectralAmplitude, t: float, units: UnitsConfig = NATURAL
 ) -> DensityField:
     """Physical (real) photon density rho = rho+ + conj(rho+) of the pair at time t."""
-    rho_plus = positive_frequency_density(c1, c2, t, units)
-    return DensityField(grid=c1.grid, t=t, rho=2.0 * rho_plus.real)
+    return DensityField(grid=c1.grid, t=t, rho=2.0 * positive_frequency_density(c1, c2, t, units).real)
 
 
 def current_field(
@@ -93,8 +95,7 @@ def current_field(
     path from :func:`density_field`; for forward-only grids the two must
     agree as J = c * rho.
     """
-    a2, _, b1 = _pair_fields(c1, c2, t, units)
-    j_plus = (1j * units.eps0 * units.c**2 / (2.0 * units.hbar)) * a2 * np.conj(b1)
+    j_plus = _pairing(c1, c2, t, units, "b_plus", 1j * units.eps0 * units.c**2 / (2.0 * units.hbar))
     return 2.0 * j_plus.real
 
 
@@ -106,7 +107,9 @@ def continuity_residual(
     The time derivative uses a second-order centered difference at t +- dt
     (requires c*dt < dx/4); the space derivative of J is spectral (exact for
     band-limited states).  The residual is therefore the centered-difference
-    truncation error and must shrink by 4x when dt is halved.
+    truncation error and must shrink by 4x when dt is halved.  The
+    difference rho(t+dt) - rho(t-dt) is formed in place, and rho(t-dt) is
+    dropped before J(t) is synthesized.
     """
     grid = state.grid
     if dt <= 0:
@@ -116,8 +119,10 @@ def continuity_residual(
             f"c*dt = {units.c * dt:.3e} too large for dx = {grid.dx:.3e} (need < dx/4)"
         )
     rho_m = density_field(state, state, t - dt, units).rho
-    rho_p = density_field(state, state, t + dt, units).rho
-    drho_dt = (rho_p - rho_m) / (2.0 * dt)
+    drho_dt = density_field(state, state, t + dt, units).rho
+    drho_dt -= rho_m
+    del rho_m  # freed before J is synthesized
+    drho_dt /= 2.0 * dt
 
     j = current_field(state, state, t, units)
     if np.ptp(j) <= 1e-12 * np.abs(j).max():
@@ -331,7 +336,9 @@ def _fork_rows(files, columns, tables, start: int, stop: int, earlier) -> tuple[
 
     The worker holds its whole range, then waits for one byte on the go
     pipe and writes its rows to the descriptors it inherited (their offsets
-    are this process's); a pipe closed with no byte ends it unwritten.
+    are this process's); a pipe closed with no byte ends it unwritten.  Its
+    exit status is the errno of an OSError that stops it (a failed write's,
+    say), or 255 for any other failure.
     """
     read_fd, go_fd = os.pipe()
     try:
@@ -346,7 +353,7 @@ def _fork_rows(files, columns, tables, start: int, stop: int, earlier) -> tuple[
         os.close(go_fd)
         raise
     if pid == 0:
-        code = 1
+        code = 255
         try:
             for fd in (go_fd, *(fd for _, fd in earlier)):  # the caller alone holds the go pipes
                 os.close(fd)
@@ -358,6 +365,8 @@ def _fork_rows(files, columns, tables, start: int, stop: int, earlier) -> tuple[
                         while view:
                             view = view[os.write(fh.fileno(), view):]
                 code = 0
+        except OSError as exc:
+            code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
         finally:
             os._exit(code)
     os.close(read_fd)
@@ -375,8 +384,10 @@ def write_csv_tables(tables) -> None:
     run's rows are split once into ranges, one per usable CPU: forked
     workers format the rows of every range but the first, which this
     process writes meanwhile, then each in turn gets a go byte and appends
-    its rows.  A failed worker raises :class:`OSError`; on any exception
-    once a file is opened, every file of the run is removed.
+    its rows.  A failed worker raises :class:`OSError` naming its failed
+    write's errno, as ``[Errno 28] No space left on device``, or else its
+    exit status; on any exception once a file is opened, every file of the
+    run is removed.
     """
     columns = [column for _, _, table in tables for column in table]
     lengths = [len(column) for column in columns]
@@ -408,7 +419,8 @@ def write_csv_tables(tables) -> None:
             del children[0]
             if code:
                 paths = ", ".join(str(path) for path, _, _ in tables)
-                raise OSError(f"{paths}: a CSV row worker failed, exit status {code}")
+                reason = OSError(code, os.strerror(code)) if 0 < code < 255 else f"exit status {code}"
+                raise OSError(f"{paths}: a CSV row worker failed, {reason}")
     except BaseException:
         # a partial run is no artifact, whatever stopped the write
         for fh in files:

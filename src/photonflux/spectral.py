@@ -370,9 +370,11 @@ def synthesize_fields(state: SpectralAmplitude, t: float, units: UnitsConfig = N
                * c_j * exp(i (k_j x - omega_j t)),
 
     with E+ = -dA+/dt (spectrum * i omega_j) and B+ the curl partner
-    (spectrum * i k_j).  Evaluated with one inverse FFT over the three
-    spectra stacked; bin j = N lands on the DC alias, which is harmless for
-    edge-clean spectra.
+    (spectrum * i k_j).  Evaluated with one inverse FFT, in place, over the
+    three spectra stacked in one (3, N) buffer, into which the spectrum
+    rolled by one bin is written by two slice products, with no rolled copy;
+    bin j = N lands on the DC alias, which is harmless for edge-clean
+    spectra.  The three fields are rows of that buffer.
 
     The factors that do not depend on the state are computed once and kept
     read-only in two one-entry caches: omega, the weights, i omega, i k and
@@ -386,7 +388,8 @@ def synthesize_fields(state: SpectralAmplitude, t: float, units: UnitsConfig = N
     _, weights, i_omega, i_k, scale = _mode_factors(grid, units)
     spectra = np.empty((3, grid.n), dtype=complex)
     base = spectra[0]
-    np.multiply(weights, np.roll(state.c, 1), out=base)
+    np.multiply(weights[1:], state.c[:-1], out=base[1:])
+    np.multiply(weights[:1], state.c[-1:], out=base[:1])
     np.multiply(base, _phase(grid, units, t), out=base)
     np.multiply(base, i_omega, out=spectra[1])
     np.multiply(base, i_k, out=spectra[2])

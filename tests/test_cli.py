@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr
 from dataclasses import replace
@@ -869,6 +870,43 @@ def test_density_run_at_two_cpus_forks_once(tmp_path, monkeypatch, forks):
     assert sorted(p.name for p in out.iterdir()) == ["density.csv", "fields.csv", "summary.json"]
 
 
+def test_density_run_traces_at_most_200_bytes_per_bin_over_eleven_syntheses(tmp_path, monkeypatch):
+    # the whole run at N = 2**18 on one CPU; a pairing that holds two (3, N) syntheses at once traces about 296
+    n = 2**18
+    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 1)
+    real_synthesize = cli_mod.spec.synthesize_fields
+    calls = []
+
+    def synthesize(*args):
+        calls.append(args[1])
+        return real_synthesize(*args)
+
+    for module in (cli_mod.spec, cli_mod.dens):
+        monkeypatch.setattr(module, "synthesize_fields", synthesize)
+    spec = write_json(tmp_path / "state.json", {"kind": "gaussian", "k0": 125000.0, "sigma": 6250.0})
+    # the caches' entries are part of the run's memory, so they start empty
+    cli_mod.spec._mode_factors.cache_clear()
+    cli_mod.spec._phase.cache_clear()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code, _ = run(tmp_path, "--grid", f"{n},1.0,1.0", "density", "--state", spec, "--time", "0.25")
+        peak = tracemalloc.get_traced_memory()[1] - before
+        phases = cli_mod.spec._phase.cache_info().misses
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        cli_mod.spec._mode_factors.cache_clear()
+        cli_mod.spec._phase.cache_clear()
+    assert code == 0
+    assert len(calls) == 11
+    # the residual's times t - dt and t + dt first, then t for everything else
+    assert phases == 3
+    assert peak / n <= 200.0
+
+
 def test_density_exits_2_without_artifacts_when_a_worker_write_fails(tmp_path, capsys, monkeypatch, forks):
     monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
     spy_worker_writes(monkeypatch, tmp_path / "worker-writes", errno.ENOSPC)
@@ -877,6 +915,7 @@ def test_density_exits_2_without_artifacts_when_a_worker_write_fails(tmp_path, c
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'density.csv'}, {out / 'fields.csv'}: a CSV row worker failed")
+    assert err.endswith(f", {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n")
     assert err.count("error: ") == 1
     assert len(forks) == 1
     assert list(out.iterdir()) == []

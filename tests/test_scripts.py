@@ -39,6 +39,7 @@ SRC = Path(photonflux.__file__).resolve().parent.parent
             "artifact digests: circuit_sweep seed 3, ops 0..1",
         ),
         ("time_csv_block.py", ["--repeats", "1"], "csv_block ns per value, median of 1 repeats"),
+        ("density_peak_memory.py", ["--n", "4096"], "density peak memory: N=4096, --time 0.25, one CPU"),
     ],
 )
 def test_script_runs_and_prints_header(script, args, header):
