@@ -38,8 +38,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from photonflux import density, floatrepr, spectral  # noqa: E402
-from photonflux.density import _CSV_BLOCK_ROWS, localized_density_1d  # noqa: E402
+from photonflux import cli, density, floatrepr, spectral  # noqa: E402
+from photonflux.cli import _CSV_BLOCK_ROWS  # noqa: E402
+from photonflux.density import localized_density_1d  # noqa: E402
 
 
 def tables() -> dict:
@@ -74,7 +75,7 @@ def per_table(csv_block, block_lists) -> list:
 def run_pass(columns, layout) -> list:
     """Each table's CSV rows from the writer's run pass: every distinct column rendered once per block."""
     texts = [[] for _ in layout]
-    density._format_rows([text.append for text in texts], columns, layout, 0, len(columns[0]))
+    cli._format_rows([text.append for text in texts], columns, layout, 0, len(columns[0]))
     return [b"".join(text) for text in texts]
 
 

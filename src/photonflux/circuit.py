@@ -202,11 +202,11 @@ def _violations(netlist: Netlist) -> list:
         if port == "absorbed":
             # sample_outcomes counts the absorbed outcome under this label
             violations.append(f"detector port {port!r} is reserved for the absorbed outcome")
-        if port in consumed:
+        if port in consumed:  # element inputs only: a repeated detector is reported below
             violations.append(f"detector port {port!r} also feeds an element")
         if port not in produced:
             violations.append(f"detector port {port!r} is never produced")
-        consumed.add(port)
+    consumed.update(netlist.detectors)
 
     if len(set(netlist.detectors)) != len(netlist.detectors):
         violations.append("duplicate detector ports")

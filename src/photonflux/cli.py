@@ -10,15 +10,19 @@ success, 2 bad input (an input file that is not UTF-8 JSON or not a valid
 spec, a numeric flag that is non-finite, does not parse or exceeds its
 ceiling, a size that exhausts memory, a density that underflows to zero
 everywhere), 3 numerical invariant violated (a non-finite result too).
-Runs are deterministic for a given config and seed.  ``circuit`` and
-``optics`` are imported only by the subcommands that run them.
+Runs are deterministic for a given config and seed.  ``density``,
+``circuit`` and ``optics`` are imported only by the subcommands that run them.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
+import threading
+import warnings
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -26,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import density as dens
 from . import spectral as spec
 from .errors import DomainError, InvariantError, NetlistError, PhotonfluxError
 from .units import units_for
@@ -97,24 +100,163 @@ _LEDGER_NUMBERS = ("absorbed", "number_in", "number_out")  # in the order a row 
 
 
 def _write_run(out: Path, run: Run) -> None:
-    """Write one run's artifacts: the only code that creates ``out`` or writes in it.  The first NaN or infinity
-    raises :class:`InvariantError` naming it; the JSON is rendered next, and only then are ``out``, the tables (in
-    one :func:`density.write_csv_tables` pass) and the JSON written.  If a write fails, the files are removed."""
+    """Write one run's artifacts: the first NaN or infinity raises :class:`InvariantError` naming it; the JSON is
+    rendered next, and only then is ``out`` created and every file written by one :func:`write_csv_tables` pass."""
     for quantity in _non_finite(run):
         raise InvariantError(f"non-finite result: {quantity}")
     text = _render_json(run.payload, run.ledger)
     out.mkdir(parents=True, exist_ok=True)
-    dens.write_csv_tables([(out / table, f"{comment}{','.join(columns)}\n", tuple(columns.values()))
-                           for table, (comment, columns) in run.tables.items()])
-    written = [out / table for table in run.tables]
+    write_csv_tables([(out / table, f"{comment}{','.join(columns)}\n", tuple(columns.values()))
+                      for table, (comment, columns) in run.tables.items()], [(out / run.name, text)])
+
+
+# rows formatted per block: bounds the arrays a block's formatting holds
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_all(fd: int, data) -> None:
+    """Write all of ``data`` to descriptor ``fd``: the one write of an artifact, in the caller and its workers."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _csv_workers(rows: int) -> int:
+    """Processes that format a run of tables of ``rows`` rows; 1 means no fork.
+
+    A fork costs a few ms, so each worker gets at least four blocks, and a
+    process with other Python threads is never forked.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), rows // (4 * _CSV_BLOCK_ROWS)))
+
+
+def _format_block(writes, columns, tables, lo: int, hi: int) -> None:
+    """Pass rows ``[lo, hi)`` of each table, a list of indices into the distinct ``columns``, to its ``writes``
+    entry as CSV bytes: :func:`floatrepr.slots` renders each column's rows once, in one float64 copy."""
+    # imported here: building its tables costs milliseconds and about 1 MB of
+    # RSS, which the subcommands that write no CSV need not pay
+    from . import floatrepr
+
+    words = floatrepr.slots(np.stack([column[lo:hi] for column in columns], axis=1)).reshape(hi - lo, -1, 4)
+    for write, table in zip(writes, tables):
+        # a gathered copy: csv_rows writes a table's separators into the slots
+        write(floatrepr.csv_rows(words.take(table, axis=1)))
+
+
+def _format_rows(writes, columns, tables, start: int, stop: int) -> None:
+    """:func:`_format_block` on rows ``[start, stop)``, one block at a time."""
+    for lo in range(start, stop, _CSV_BLOCK_ROWS):
+        _format_block(writes, columns, tables, lo, min(lo + _CSV_BLOCK_ROWS, stop))
+
+
+def _fork_rows(fds, columns, tables, start: int, stop: int, earlier) -> tuple[int, int]:
+    """Fork a worker that appends rows ``[start, stop)`` of every table to ``fds``; returns (pid, go fd).
+
+    The worker holds its whole range, then waits for one byte on the go
+    pipe and writes its rows to the descriptors it inherited (their offsets
+    are this process's); a pipe closed with no byte ends it unwritten.  Its
+    exit status is the errno of an OSError that stops it (a failed write's,
+    say), or 255 for any other failure.
+    """
+    read_fd, go_fd = os.pipe()
     try:
-        with open(out / run.name, "wb") as fh:
-            written.append(out / run.name)
-            fh.write(text.encode())
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns after forking a process with native threads
+            # (numpy's BLAS pool); the child touches no BLAS, and a warning
+            # turned into an error here would orphan a forked child
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(go_fd)
         raise
+    if pid == 0:
+        code = 255
+        try:
+            for fd in (go_fd, *(fd for _, fd in earlier)):  # the caller alone holds the go pipes
+                os.close(fd)
+            texts = [[] for _ in tables]
+            _format_rows([text.append for text in texts], columns, tables, start, stop)
+            if os.read(read_fd, 1):
+                for fd, text in zip(fds, texts):
+                    for data in text:
+                        _write_all(fd, data)
+                code = 0
+        except OSError as exc:
+            code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+        finally:
+            os._exit(code)
+    os.close(read_fd)
+    return pid, go_fd
+
+
+def write_csv_tables(tables, texts=()) -> None:
+    """Write one run's files: each ``(path, header, columns)`` of ``tables`` as ``header`` verbatim, then one CSV
+    row per index of the float ``columns``, all of one length; then each ``(path, text)`` of ``texts`` (the JSON).
+
+    Every value is written as its shortest round-trip ``repr`` by :mod:`photonflux.floatrepr`, a block of rows of
+    every table at once; a column that tables share is rendered once.  Every file is opened here and written only
+    by :func:`_write_all`.  A large run's rows are split once into ranges, one per usable CPU: forked workers format
+    every range but the first, which this process writes meanwhile, then each in turn gets a go byte and appends
+    its rows.  A failed worker raises :class:`OSError` naming the tables and its failed write's errno, as
+    ``[Errno 28] No space left on device``, or else its exit status.  On any exception, every file opened is removed.
+    """
+    columns = [column for _, _, table in tables for column in table]
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    # each column object once, and each table as indices into them
+    distinct = list({id(column): column for column in columns}.values())
+    index = {id(column): i for i, column in enumerate(distinct)}
+    layout = [[index[id(column)] for column in table] for _, _, table in tables]
+    rows = max(lengths, default=0)
+    workers = _csv_workers(rows)
+    bounds = [rows * i // workers for i in range(workers + 1)]
+    paths = [path for path, _, _ in tables] + [path for path, _ in texts]
+    fds, children = [], []  # children: (pid, go fd), in range order
+    try:
+        for path in paths:
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+        for fd, (_, header, _) in zip(fds, tables):
+            _write_all(fd, header.encode())
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_rows(fds, distinct, layout, start, stop, children))
+        _format_rows([functools.partial(_write_all, fd) for fd in fds], distinct, layout, bounds[0], bounds[1])
+        while children:
+            pid, go_fd = children[0]
+            with contextlib.suppress(BrokenPipeError):  # a worker that exited early: its status tells
+                os.write(go_fd, b"\1")
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(go_fd)
+            del children[0]
+            if code:
+                names = ", ".join(str(path) for path, _, _ in tables)
+                reason = OSError(code, os.strerror(code)) if 0 < code < 255 else f"exit status {code}"
+                raise OSError(f"{names}: a CSV row worker failed, {reason}")
+        for fd, (_, text) in zip(fds[len(tables):], texts):
+            _write_all(fd, text.encode())
+    except BaseException:
+        # a partial run is no artifact, whatever stopped the write
+        for path in paths[:len(fds)]:
+            os.unlink(path)
+        raise
+    finally:
+        # closing the go pipes releases every worker left without writing
+        for _, go_fd in children:
+            os.close(go_fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _non_finite(run: Run):
@@ -160,6 +302,8 @@ def _comment_line(t: float, k_max: float, units) -> str:
 
 
 def cmd_density(args) -> Run:
+    from . import density as dens
+
     state = spec.state_from_spec(spec.read_json(args.state), args.grid)
     t, units = args.time, args.units
     # first, with only the state and the caches live; dt small enough that the centered-difference truncation
@@ -193,6 +337,8 @@ def cmd_density(args) -> Run:
 
 
 def cmd_localized(args) -> Run:
+    from . import density as dens
+
     k_max, dt, units = args.k_max, args.delta_t, args.units
     if args.dim not in (1, 3):
         raise DomainError("--dim must be 1 or 3")

@@ -8,14 +8,9 @@ The physical density between states c1 and c2 is the real pairing
 which integrates (sum rho dx A) to Re <c1, c2> and, for c1 = c2, to the
 photon number.  The current is the c-scaled curl pairing and equals c*rho
 pointwise for forward-only states, which makes the continuity residual a
-pure time-differencing check.  :func:`write_csv_tables` writes every CSV
-table of a run in one pass.
+pure time-differencing check.
 """
 
-import contextlib
-import os
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +18,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, StepSizeError
 from .spectral import TWO_PI, KGrid1D, SpectralAmplitude, synthesize_fields
 from .units import NATURAL, UnitsConfig
-
-# rows formatted per block: bounds the arrays a block's formatting holds
-_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -293,144 +285,3 @@ def tail_mass(values, x, window_halfwidth: float, center: float | None = None) -
         return float((total - inner) / total)
     return float(abs(total - inner) / abs(total))
 
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _csv_workers(rows: int) -> int:
-    """Processes that format a run of tables of ``rows`` rows; 1 means no fork.
-
-    A fork costs a few ms, so each worker gets at least four blocks, and a
-    process with other Python threads is never forked.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(_usable_cpus(), rows // (4 * _CSV_BLOCK_ROWS)))
-
-
-def _format_block(writes, columns, tables, lo: int, hi: int) -> None:
-    """Pass rows ``[lo, hi)`` of each table, a list of indices into the distinct ``columns``, to its ``writes``
-    entry as CSV bytes: :func:`floatrepr.slots` renders each column's rows once, in one float64 copy."""
-    # imported here: building its tables costs milliseconds and about 1 MB of
-    # RSS, which the subcommands that write no CSV need not pay
-    from . import floatrepr
-
-    words = floatrepr.slots(np.stack([column[lo:hi] for column in columns], axis=1)).reshape(hi - lo, -1, 4)
-    for write, table in zip(writes, tables):
-        # a gathered copy: csv_rows writes a table's separators into the slots
-        write(floatrepr.csv_rows(words.take(table, axis=1)))
-
-
-def _format_rows(writes, columns, tables, start: int, stop: int) -> None:
-    """:func:`_format_block` on rows ``[start, stop)``, one block at a time."""
-    for lo in range(start, stop, _CSV_BLOCK_ROWS):
-        _format_block(writes, columns, tables, lo, min(lo + _CSV_BLOCK_ROWS, stop))
-
-
-def _fork_rows(files, columns, tables, start: int, stop: int, earlier) -> tuple[int, int]:
-    """Fork a worker that appends rows ``[start, stop)`` of every table to ``files``; returns (pid, go fd).
-
-    The worker holds its whole range, then waits for one byte on the go
-    pipe and writes its rows to the descriptors it inherited (their offsets
-    are this process's); a pipe closed with no byte ends it unwritten.  Its
-    exit status is the errno of an OSError that stops it (a failed write's,
-    say), or 255 for any other failure.
-    """
-    read_fd, go_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns after forking a process with native threads
-            # (numpy's BLAS pool); the child touches no BLAS, and a warning
-            # turned into an error here would orphan a forked child
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(go_fd)
-        raise
-    if pid == 0:
-        code = 255
-        try:
-            for fd in (go_fd, *(fd for _, fd in earlier)):  # the caller alone holds the go pipes
-                os.close(fd)
-            texts = [[] for _ in tables]
-            _format_rows([text.append for text in texts], columns, tables, start, stop)
-            if os.read(read_fd, 1):
-                for fh, text in zip(files, texts):
-                    for view in map(memoryview, text):
-                        while view:
-                            view = view[os.write(fh.fileno(), view):]
-                code = 0
-        except OSError as exc:
-            code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
-        finally:
-            os._exit(code)
-    os.close(read_fd)
-    return pid, go_fd
-
-
-def write_csv_tables(tables) -> None:
-    """CSV export of one run: each ``(path, header, columns)`` of ``tables`` is written as ``header`` verbatim, then
-    one row per index of the float ``columns``, all of one length.
-
-    Every value is written as Python's ``repr`` of it, the shortest string
-    that reads back as the same float, by :mod:`photonflux.floatrepr` for
-    blocks of rows of every table at once; a column that tables share is
-    rendered once.  Identical inputs give byte-identical files.  A large
-    run's rows are split once into ranges, one per usable CPU: forked
-    workers format the rows of every range but the first, which this
-    process writes meanwhile, then each in turn gets a go byte and appends
-    its rows.  A failed worker raises :class:`OSError` naming its failed
-    write's errno, as ``[Errno 28] No space left on device``, or else its
-    exit status; on any exception once a file is opened, every file of the
-    run is removed.
-    """
-    columns = [column for _, _, table in tables for column in table]
-    lengths = [len(column) for column in columns]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"CSV columns differ in length: {lengths}")
-    # each column object once, and each table as indices into them
-    distinct = list({id(column): column for column in columns}.values())
-    index = {id(column): i for i, column in enumerate(distinct)}
-    layout = [[index[id(column)] for column in table] for _, _, table in tables]
-    rows = max(lengths, default=0)
-    workers = _csv_workers(rows)
-    bounds = [rows * i // workers for i in range(workers + 1)]
-    files, children = [], []  # children: (pid, go fd), in range order
-    try:
-        for path, header, _ in tables:
-            files.append(open(path, "wb"))
-            files[-1].write(header.encode())
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_rows(files, distinct, layout, start, stop, children))
-        _format_rows([fh.write for fh in files], distinct, layout, bounds[0], bounds[1])
-        for fh in files:
-            fh.flush()
-        while children:
-            pid, go_fd = children[0]
-            with contextlib.suppress(BrokenPipeError):  # a worker that exited early: its status tells
-                os.write(go_fd, b"\1")
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(go_fd)
-            del children[0]
-            if code:
-                paths = ", ".join(str(path) for path, _, _ in tables)
-                reason = OSError(code, os.strerror(code)) if 0 < code < 255 else f"exit status {code}"
-                raise OSError(f"{paths}: a CSV row worker failed, {reason}")
-    except BaseException:
-        # a partial run is no artifact, whatever stopped the write
-        for fh in files:
-            os.unlink(fh.name)
-        raise
-    finally:
-        # closing the go pipes releases every worker left without writing
-        for _, go_fd in children:
-            os.close(go_fd)
-        for pid, _ in children:
-            os.waitpid(pid, 0)
-        for fh in files:
-            fh.close()

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-import photonflux.density as density
+import photonflux.cli as cli
 from photonflux import KGrid1D, SpectralAmplitude, photon_number
 
 
@@ -76,14 +76,14 @@ def forks(monkeypatch):
 def fail_forked_csv_rows(monkeypatch):
     """Make every forked CSV row worker raise; this process still formats its own rows."""
     parent = os.getpid()
-    real_format_block = density._format_block
+    real_format_block = cli._format_block
 
     def format_block(*args):
         if os.getpid() != parent:
             raise RuntimeError("row worker failure")
         real_format_block(*args)
 
-    monkeypatch.setattr(density, "_format_block", format_block)
+    monkeypatch.setattr(cli, "_format_block", format_block)
 
 
 def fill_disk_while_formatting(monkeypatch, columns=None):
@@ -93,7 +93,7 @@ def fill_disk_while_formatting(monkeypatch, columns=None):
     first block; forked row workers format as usual.
     """
     parent = os.getpid()
-    real_format_block = density._format_block
+    real_format_block = cli._format_block
 
     def format_block(writes, distinct, tables, lo, hi):
         failing = [write for write, table in zip(writes, tables) if columns in (None, len(table))]
@@ -102,7 +102,7 @@ def fill_disk_while_formatting(monkeypatch, columns=None):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         real_format_block(writes, distinct, tables, lo, hi)
 
-    monkeypatch.setattr(density, "_format_block", format_block)
+    monkeypatch.setattr(cli, "_format_block", format_block)
 
 
 def spy_worker_writes(monkeypatch, log, error=None):

@@ -133,11 +133,27 @@ def _wired(elements, detectors, vacuum=()):
         (lambda: _wired((Element("bs", BeamSplitter(0.6, 0.8), ("src", "vac"), ("b", "a")),
                          Element("ps", PhaseShifter(0.1), ("a",), ("c",))), (), ("vac", "spare2", "spare1")),
          [f"port {p!r} is produced but never consumed" for p in ("b", "c", "spare1", "spare2")]),
+        # a detector listed twice feeds no element
+        (lambda: _wired((Element("p", PhaseShifter(0.1), ("src",), ("d",)),), ("d", "d")),
+         ["duplicate detector ports"]),
     ],
-    ids=["produced-twice", "unsupported-producer", "source-as-vacuum", "never-consumed-sorted"],
+    ids=["produced-twice", "unsupported-producer", "source-as-vacuum", "never-consumed-sorted",
+         "duplicate-detector"],
 )
 def test_violations_are_listed_in_check_order(netlist, expected):
     assert validate(netlist()) == expected
+
+
+def test_medium_segment_fed_only_by_vacuum_carries_nothing():
+    # the segment contracts its vacuum input as usual, and a zero-weight pulse has no group delay
+    med = Element("med", MediumSegment(Medium(1.25 + 0.01j), 2.0), ("vac",), ("m",))
+    ps = Element("ps", PhaseShifter(0.1), ("src",), ("o",))
+    pulse, ledger = run_circuit(_wired((med, ps), ("o", "m"), ("vac",)))
+    row = next(row for row in ledger.rows if row.element_id == "med")
+    assert (row.number_in, row.number_out, row.absorbed) == (0.0, 0.0, 0.0)
+    port = pulse.ports["m"]
+    assert (port.probability, port.delay, port.spectral) == (0.0, 0.0, None)
+    assert pulse.absorbed == 0.0
 
 
 def test_run_rejects_invalid_netlist():

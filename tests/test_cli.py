@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import photonflux
 import photonflux.circuit as circuit_mod
 import photonflux.cli as cli_mod
+import photonflux.density as density_mod
 import photonflux.optics as optics_mod
 from photonflux.cli import main
 
@@ -96,7 +97,7 @@ def test_density_header_and_continuity_step_use_the_amplitude_state_grid(tmp_pat
     assert code == 0
     assert (out / "density.csv").read_text().splitlines()[0] == "# t=0.0 k_max=2048.0 units=natural"
     state = cli_mod.spec.state_from_spec(amplitude, grid)
-    expected = cli_mod.dens.continuity_residual(state, 0.0, grid.dx / 256.0, cli_mod.units_for("natural"))
+    expected = density_mod.continuity_residual(state, 0.0, grid.dx / 256.0, cli_mod.units_for("natural"))
     assert json.loads((out / "summary.json").read_text())["continuity_residual"] == expected
 
 
@@ -436,6 +437,17 @@ def test_density_and_localized_runs_load_no_circuit_optics_or_fock(tmp_path):
     assert not loaded & {"photonflux.circuit", "photonflux.optics", "photonflux.fock"}
 
 
+def test_circuit_fresnel_and_momentum_runs_load_no_density_or_float_repr(tmp_path):
+    # the CSV writer lives in cli, so a subcommand that writes no table never loads the physics of one
+    state = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    netlist = write_json(tmp_path / "mz.json", mz_netlist(0.3))
+    loaded = _cli_modules(["--out", str(tmp_path / "circuit"), "circuit", "--netlist", netlist],
+                          ["--out", str(tmp_path / "fresnel"), "fresnel", "--n1", "1", "--n2", "1.5"],
+                          ["--out", str(tmp_path / "momentum"), "momentum", "--state", state, "--chi", "1.25"])
+    assert "photonflux.circuit" in loaded
+    assert not loaded & {"photonflux.density", "photonflux.floatrepr"}
+
+
 # every name photonflux exported when its __init__ imported each module eagerly, as module.name
 EXPORTED = """
     units.NATURAL units.SI units.UnitsConfig units.units_for
@@ -600,7 +612,7 @@ def test_every_subcommand_returns_a_run_and_creates_nothing(tmp_path, args, name
 @SUBCOMMAND_RUNS
 def test_failed_json_write_exits_2_and_leaves_none_of_the_runs_files(tmp_path, capsys, args, name):
     paths = subcommand_inputs(tmp_path)
-    # a directory where the JSON artifact goes: the tables are written, then opening the JSON fails
+    # a directory where the JSON artifact goes: opening it fails, and the tables opened before it are removed
     blocked = tmp_path / "out" / name
     blocked.mkdir(parents=True)
     code, out = run(tmp_path, *(a.format(**paths) for a in args))
@@ -791,13 +803,13 @@ def test_localized_bad_input_exits_2_naming_the_flag(tmp_path, capsys, args, fla
 
 
 def test_density_integral_mismatch_exits_3_after_writing_summary(tmp_path, capsys, monkeypatch):
-    real_density_field = cli_mod.dens.density_field
+    real_density_field = density_mod.density_field
 
     def inflated(*args):
         field = real_density_field(*args)
         return replace(field, rho=1.5 * field.rho)
 
-    monkeypatch.setattr(cli_mod.dens, "density_field", inflated)
+    monkeypatch.setattr(density_mod, "density_field", inflated)
     spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
     code, out = run(tmp_path, "density", "--state", spec)
     assert code == 3
@@ -833,7 +845,7 @@ def test_lossless_fresnel_defect_exits_3_after_writing_json(tmp_path, capsys, mo
 
 
 def test_failed_csv_worker_exits_2_without_the_csv(tmp_path, capsys, monkeypatch, forks):
-    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
     fail_forked_csv_rows(monkeypatch)
     code, out = run(tmp_path, "localized", "--dim", "1", "--k-max", "1.0", "--points", "50001")
     assert code == 2
@@ -847,7 +859,7 @@ def test_failed_csv_worker_exits_2_without_the_csv(tmp_path, capsys, monkeypatch
 
 
 def test_density_exits_2_without_artifacts_when_fields_csv_fails(tmp_path, capsys, monkeypatch, forks):
-    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
     fill_disk_while_formatting(monkeypatch, columns=5)
     spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
     code, out = run(tmp_path, "--grid", "16384,1.0,1.0", "density", "--state", spec)
@@ -860,8 +872,23 @@ def test_density_exits_2_without_artifacts_when_fields_csv_fails(tmp_path, capsy
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_csv_columns_of_different_lengths_raise_and_leave_no_file(tmp_path):
+    with pytest.raises(ValueError, match=r"CSV columns differ in length: \[3, 2\]"):
+        cli_mod.write_csv_tables([(tmp_path / "a.csv", "a,b\n", (np.zeros(3), np.zeros(2)))],
+                                 [(tmp_path / "a.json", "{}\n")])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [3, None], ids=["counted", "unknown"])
+def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch, cpus):
+    # macOS has no sched_getaffinity; os.cpu_count() may return None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cli_mod._usable_cpus() == (cpus or 1)
+
+
 def test_density_run_at_two_cpus_forks_once(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
     spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
     code, out = run(tmp_path, "--grid", "16384,1.0,1.0", "density", "--state", spec)
     assert code == 0
@@ -873,7 +900,7 @@ def test_density_run_at_two_cpus_forks_once(tmp_path, monkeypatch, forks):
 def test_density_run_traces_at_most_200_bytes_per_bin_over_eleven_syntheses(tmp_path, monkeypatch):
     # the whole run at N = 2**18 on one CPU; a pairing that holds two (3, N) syntheses at once traces about 296
     n = 2**18
-    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 1)
     real_synthesize = cli_mod.spec.synthesize_fields
     calls = []
 
@@ -881,7 +908,7 @@ def test_density_run_traces_at_most_200_bytes_per_bin_over_eleven_syntheses(tmp_
         calls.append(args[1])
         return real_synthesize(*args)
 
-    for module in (cli_mod.spec, cli_mod.dens):
+    for module in (cli_mod.spec, density_mod):
         monkeypatch.setattr(module, "synthesize_fields", synthesize)
     spec = write_json(tmp_path / "state.json", {"kind": "gaussian", "k0": 125000.0, "sigma": 6250.0})
     # the caches' entries are part of the run's memory, so they start empty
@@ -908,7 +935,7 @@ def test_density_run_traces_at_most_200_bytes_per_bin_over_eleven_syntheses(tmp_
 
 
 def test_density_exits_2_without_artifacts_when_a_worker_write_fails(tmp_path, capsys, monkeypatch, forks):
-    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
     spy_worker_writes(monkeypatch, tmp_path / "worker-writes", errno.ENOSPC)
     spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
     code, out = run(tmp_path, "--grid", "16384,1.0,1.0", "density", "--state", spec)
@@ -941,7 +968,7 @@ def test_csv_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
         return result
 
     default = digests("default")
-    monkeypatch.setattr(cli_mod.dens, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 1)
     assert digests("one-worker") == default
     assert len(default) == 7
 
@@ -982,9 +1009,9 @@ def _force_flux_defect(monkeypatch):
         (("fresnel", "--n1", "0,1", "--n2", "1.5"), 2, None),
         (("fresnel", "--n1", "-1", "--n2", "1.5"), 2, None),
         (("momentum", "--state", "{bad}", "--chi", "1.25"), 2, None),
-        (("density", "--state", "{gaussian}"), 2, _out_of_memory(cli_mod.dens, "synthesize_fields", "--grid")),
+        (("density", "--state", "{gaussian}"), 2, _out_of_memory(density_mod, "synthesize_fields", "--grid")),
         (("localized", "--dim", "1", "--k-max", "1.0"), 2,
-         _out_of_memory(cli_mod.dens, "localized_density_1d", "--points")),
+         _out_of_memory(density_mod, "localized_density_1d", "--points")),
         (("circuit", "--netlist", "{mz}", "--samples", "100"), 2,
          _out_of_memory(circuit_mod, "sample_outcomes", "--samples")),
         (("momentum", "--state", "{gaussian}", "--chi", "1.25"), 2,

@@ -26,9 +26,9 @@ from photonflux import (
     synthesize_fields,
     tail_mass,
 )
+import photonflux.cli as cli
 import photonflux.density as density
-from photonflux.cli import _comment_line
-from photonflux.density import _CSV_BLOCK_ROWS, write_csv_tables
+from photonflux.cli import _CSV_BLOCK_ROWS, _comment_line, write_csv_tables
 from photonflux.errors import DimensionError, DomainError, StepSizeError
 from photonflux.units import NATURAL, SI
 
@@ -562,7 +562,7 @@ def test_density_csv_rows_across_block_boundaries(tmp_path, monkeypatch, forks, 
     columns = _csv_columns(rows)
     expected = _csv_text("# head\nx,a,b,c\n", columns).encode()
     for cpus in (1, 2, 3, 4):
-        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         forks.clear()
         path = tmp_path / f"rows{cpus}.csv"
         write_csv_tables([(path, "# head\nx,a,b,c\n", columns)])
@@ -589,7 +589,7 @@ def test_shared_column_gives_the_bytes_of_each_table_alone(tmp_path, monkeypatch
     tables = _shared_run(tmp_path, rows)
     expected = [_csv_text(header, columns).encode() for _, header, columns in tables]
     for cpus in (1, 2, 3, 4):
-        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         forks.clear()
         write_csv_tables(tables)
         assert [path.read_bytes() for path, _, _ in tables] == expected
@@ -616,7 +616,7 @@ def test_shared_column_slots_are_built_once_per_block(tmp_path, monkeypatch, row
 
     monkeypatch.setattr(floatrepr, "slots", slots)
     for cpus in (1, 2, 3, 4):
-        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         shapes.clear()
         write_csv_tables(tables)
         # this process's range: every block holds the four distinct columns of the five written
@@ -625,19 +625,19 @@ def test_shared_column_slots_are_built_once_per_block(tmp_path, monkeypatch, row
 
 
 def test_parent_failure_before_the_go_byte_leaves_no_child_file_or_byte(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     log = tmp_path / "worker-writes"
     spy_worker_writes(monkeypatch, log)
     tables = _shared_run(tmp_path, 50001)
     parent = os.getpid()
-    real_format_block = density._format_block
+    real_format_block = cli._format_block
 
     def format_block(writes, columns, layout, lo, hi):
         real_format_block(writes, columns, layout, lo, hi)
         if os.getpid() == parent and hi == 50001 // 4:
             raise RuntimeError("stopped after this process's rows")
 
-    monkeypatch.setattr(density, "_format_block", format_block)
+    monkeypatch.setattr(cli, "_format_block", format_block)
     with pytest.raises(RuntimeError):
         write_csv_tables(tables)
     assert len(forks) == 3
@@ -648,7 +648,7 @@ def test_parent_failure_before_the_go_byte_leaves_no_child_file_or_byte(tmp_path
 
 
 def test_worker_write_on_a_full_disk_removes_every_file_of_the_run(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     log = tmp_path.parent / f"{tmp_path.name}-worker-writes"
     spy_worker_writes(monkeypatch, log, errno.ENOSPC)
     tables = _shared_run(tmp_path, 50001)
@@ -664,7 +664,7 @@ def test_worker_write_on_a_full_disk_removes_every_file_of_the_run(tmp_path, mon
 
 
 def test_failed_csv_worker_removes_the_file(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     fail_forked_csv_rows(monkeypatch)
     path = tmp_path / "rows.csv"
     with pytest.raises(OSError) as exc:
@@ -679,7 +679,7 @@ def test_failed_csv_worker_removes_the_file(tmp_path, monkeypatch, forks):
 
 @pytest.mark.parametrize("rows", [100, 50001], ids=str)
 def test_failed_csv_write_removes_the_file(tmp_path, monkeypatch, forks, rows):
-    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     fill_disk_while_formatting(monkeypatch)
     path = tmp_path / "rows.csv"
     with pytest.raises(OSError) as exc:
@@ -692,7 +692,7 @@ def test_failed_csv_write_removes_the_file(tmp_path, monkeypatch, forks, rows):
 
 
 def test_csv_rows_are_formatted_in_process_without_fork(tmp_path, monkeypatch):
-    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     monkeypatch.delattr(os, "fork")
     columns = _csv_columns(50001)
     path = tmp_path / "rows.csv"
@@ -701,7 +701,7 @@ def test_csv_rows_are_formatted_in_process_without_fork(tmp_path, monkeypatch):
 
 
 def test_csv_rows_are_formatted_in_process_while_a_thread_runs(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     columns = _csv_columns(50001)
     path = tmp_path / "rows.csv"
     release = threading.Event()
@@ -728,7 +728,7 @@ def test_fork_warning_raised_as_error_leaves_no_child_behind(tmp_path, monkeypat
         return pid
 
     monkeypatch.setattr(os, "fork", fork_warning_as_python_3_12_does)
-    monkeypatch.setattr(density, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     columns = _csv_columns(8192)
     path = tmp_path / "rows.csv"
     with warnings.catch_warnings():
