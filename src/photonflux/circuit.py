@@ -63,10 +63,10 @@ class Netlist:
     """Feed-forward wiring of one source to detectors.
 
     ``vacuum_ports`` name the empty inputs (a beam splitter's unused arm);
-    they behave like produced ports carrying zero amplitude.  The wiring map
-    ``producer`` and the ``order`` of :func:`_topological_order`, which
-    reads it, and the ``violations`` of :func:`_violations` are each
-    computed on first use and cached: the netlist is frozen.
+    they behave like produced ports carrying zero amplitude.  The ``order``
+    of :func:`_topological_order`, the run plan, and the ``violations`` of
+    :func:`_violations` are each computed on first use and cached: the
+    netlist is frozen.
     """
 
     elements: tuple
@@ -76,19 +76,9 @@ class Netlist:
     vacuum_ports: tuple = ()
 
     @cached_property
-    def producer(self) -> dict:
-        """Port -> id of the first element that produces it; the source port maps to None."""
-        # built backwards, so the first producer of a port is the last to write it
-        producer = {port: el.id for el in reversed(self.elements) for port in reversed(el.outputs)}
-        producer[self.source_port] = None
-        return producer
-
-    @cached_property
     def order(self):
-        """Element ids in execution order, or None if the wiring has a cycle."""
-        order = _topological_order(self)
-        # a tuple: every reader shares the cached value
-        return None if order is None else tuple(order)
+        """The elements in execution order, as a tuple; None for a cycle or a repeated id."""
+        return _topological_order(self)
 
     @cached_property
     def violations(self) -> tuple:
@@ -126,7 +116,11 @@ class PulseState:
         return self.ports[port].probability
 
     def total_probability(self) -> float:
-        return float(sum(rec.probability for rec in self.ports.values()))
+        # left to right from 0.0: builtin sum compensates rounding from Python 3.12 on
+        total = 0.0
+        for rec in self.ports.values():
+            total += rec.probability
+        return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,8 +156,8 @@ def _violations(netlist: Netlist) -> list:
     produced = {netlist.source_port, *netlist.vacuum_ports}
     if netlist.source_port in netlist.vacuum_ports:
         violations.append("source port is also declared as vacuum")
-    ids = [el.id for el in netlist.elements]
-    if len(set(ids)) != len(ids):
+    unique_ids = len({el.id for el in netlist.elements}) == len(netlist.elements)
+    if not unique_ids:
         violations.append("duplicate element ids")
     consumed = set()
 
@@ -198,37 +192,45 @@ def _violations(netlist: Netlist) -> list:
             if port not in produced:
                 violations.append(f"element {el.id}: input port {port!r} is never produced")
 
-    for port in netlist.detectors:
+    detectors = dict.fromkeys(netlist.detectors)  # each distinct port once, in listed order
+    for port in detectors:
         if port == "absorbed":
             # sample_outcomes counts the absorbed outcome under this label
             violations.append(f"detector port {port!r} is reserved for the absorbed outcome")
-        if port in consumed:  # element inputs only: a repeated detector is reported below
+        if port in consumed:
             violations.append(f"detector port {port!r} also feeds an element")
         if port not in produced:
             violations.append(f"detector port {port!r} is never produced")
-    consumed.update(netlist.detectors)
+    consumed.update(detectors)
 
-    if len(set(netlist.detectors)) != len(netlist.detectors):
+    if len(detectors) != len(netlist.detectors):
         violations.append("duplicate detector ports")
     for port in sorted(produced - consumed, key=str):
         violations.append(f"port {port!r} is produced but never consumed")
 
-    if netlist.order is None:
+    # a repeated id has no order either, and is reported above
+    if unique_ids and netlist.order is None:
         violations.append("wiring contains a cycle")
     return violations
 
 
 def _topological_order(netlist: Netlist):
-    """Kahn's algorithm over elements; None if the wiring has a cycle.
+    """Kahn's algorithm over elements: a tuple of them in execution order, or
+    None if the wiring has a cycle or repeats an id.
 
-    An element waits for the producers of its inputs in ``Netlist.producer``
-    (the source and vacuum ports have none).  The ready set is a heap keyed
-    by element id: the smallest ready id always goes next, which fixes the
-    ledger row order, and the sort takes O(E log E) for E elements.  Callers
-    read it as ``Netlist.order``, which runs this once per netlist however
-    often it is validated and run.
+    An element waits for the first producer of each of its inputs (the
+    source and vacuum ports have none).  The ready set is a heap of element
+    ids (cheaper to compare than elements): the smallest ready id always
+    goes next, which fixes the ledger row order, and the sort takes
+    O(E log E) for E elements.  Callers read it as ``Netlist.order``, which
+    runs this once per netlist however often it is validated and run.
     """
-    producer = netlist.producer
+    element = {el.id: el for el in netlist.elements}
+    if len(element) != len(netlist.elements):
+        return None  # a repeated id: no order runs every element
+    # port -> id of its first producer, built backwards so the first is the last to write it
+    producer = {port: el.id for el in reversed(netlist.elements) for port in reversed(el.outputs)}
+    producer[netlist.source_port] = None
     pending = {}
     users = {}
     for el in netlist.elements:
@@ -242,19 +244,17 @@ def _topological_order(netlist: Netlist):
                 waits += 1
                 users.setdefault(dep, []).append(eid)
         pending[eid] = waits
-    if len(pending) != len(netlist.elements):
-        return None  # a repeated id: no order runs every element
     ready = [eid for eid, n in pending.items() if n == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         eid = heapq.heappop(ready)
-        order.append(eid)
+        order.append(element[eid])
         for other in users.get(eid, ()):
             pending[other] -= 1
             if pending[other] == 0:
                 heapq.heappush(ready, other)
-    return order if len(order) == len(netlist.elements) else None
+    return tuple(order) if len(order) == len(element) else None
 
 
 def run_circuit(
@@ -283,23 +283,20 @@ def run_circuit(
     if abs(n_src - 1.0) > 1e-9:
         raise NetlistError(f"source photon number {n_src:.12g} is not 1")
 
-    by_id = {el.id: el for el in netlist.elements}
     grid = netlist.source_state.grid
     dk = grid.dk
     omega = units.c * grid.k
-    zeros = np.zeros(grid.n, dtype=complex)
 
     # live map: port -> (amplitude array, accumulated delay, photon number);
     # each port's number is computed once, when the port is produced
-    src = netlist.source_state.c.copy()
-    live = {netlist.source_port: (src, 0.0, photon_number_of(src, dk))}
+    live = {netlist.source_port: (netlist.source_state.c.copy(), 0.0, n_src)}
     pop = live.pop
-    empty = (zeros, 0.0, 0.0)
-    rows, absorbing_rows = [], []
+    empty = (np.zeros(grid.n, dtype=complex), 0.0, 0.0)
+    rows = []
+    absorbed = 0.0  # left to right: builtin sum compensates rounding from Python 3.12 on
 
-    for eid in netlist.order:
-        el = by_id[eid]
-        spec, ins = el.spec, el.inputs
+    for el in netlist.order:
+        eid, spec, ins = el.id, el.spec, el.inputs
         first = pop(ins[0], empty)
         second = pop(ins[1], empty) if len(ins) == 2 else empty
         if first is empty and second is empty and getattr(spec, "passes_vacuum", False):
@@ -329,7 +326,7 @@ def run_circuit(
             live[port1] = (out1, delay, n1)
         rows.append(LedgerRow(eid, n_in, n_out, n_in - n_out))
         if medium:
-            absorbing_rows.append(n_in - n_out)
+            absorbed += n_in - n_out
 
     ports = {}
     helicity = netlist.source_state.helicity
@@ -342,7 +339,7 @@ def run_circuit(
     # ledger rows under the default convention; with paper_convention an
     # interface row exposes its conservation defect there instead of having
     # it silently balanced into "absorbed".
-    pulse = PulseState(ports=ports, absorbed=float(sum(absorbing_rows)))
+    pulse = PulseState(ports=ports, absorbed=absorbed)
     return pulse, Ledger(rows=tuple(rows))
 
 

@@ -64,12 +64,9 @@ def _count(text: str) -> int:
 
 
 def _parse_grid(text: str) -> spec.KGrid1D:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expects N,dk,area")
-    n, dk, area = int(parts[0]), _finite_float(parts[1]), _finite_float(parts[2])
+    n, dk, area = text.split(",")
     try:
-        return spec.KGrid1D(n=n, dk=dk, area=area)
+        return spec.KGrid1D(n=int(n), dk=_finite_float(dk), area=_finite_float(area))
     except PhotonfluxError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -79,6 +76,19 @@ def _parse_complex(text: str) -> complex:
     if len(parts) > 2:
         raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r} (use 're' or 're,im')")
     return complex(*(_finite_float(p) for p in parts))
+
+
+def _flag(parse, form: str):
+    """argparse type: ``parse``, where text it cannot read (a ValueError) exits 2 naming the ``form`` it takes.
+
+    argparse itself would name the function, as ``invalid _parse_grid value``.
+    """
+    def flag(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}") from None
+    return flag
 
 
 class Run(NamedTuple):
@@ -450,41 +460,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="photonflux",
         description="One-photon density/current audits and optical-circuit runs.",
     )
-    parser.add_argument("--units", type=units_for, default="natural", metavar="{natural,si}")
+    number = _flag(_finite_float, "a finite number")
+    count = _flag(_count, f"an integer at most 2**24 = {spec.MAX_GRID_N}")
+    complex_number = _flag(_parse_complex, "'re' or 're,im' (finite numbers)")
+    parser.add_argument("--units", type=_flag(units_for, "'natural' or 'si'"), default="natural",
+                        metavar="{natural,si}")
     parser.add_argument("--out", type=Path, default="photonflux_out", help="output directory")
-    parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--grid", type=_parse_grid, default="4096,1.0,1.0", help="N,dk,area")
+    parser.add_argument("--seed", type=_flag(_seed, "a non-negative integer"), default=0)
+    parser.add_argument("--grid", type=_flag(_parse_grid, "N,dk,area (an integer and two finite numbers)"),
+                        default="4096,1.0,1.0", help="N,dk,area")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="density/current arrays and conservation summary")
     p.add_argument("--state", required=True, help="state-spec JSON file")
-    p.add_argument("--time", type=_finite_float, default=0.0)
+    p.add_argument("--time", type=number, default=0.0)
     p.set_defaults(func=cmd_density, size="--grid or the state's grid")
 
     p = sub.add_parser("localized", help="band-limited localized density closed forms")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--k-max", type=_finite_float, required=True)
-    p.add_argument("--delta-t", type=_finite_float, default=0.0)
-    p.add_argument("--points", type=_count, default=4001)
-    p.add_argument("--span", type=_finite_float, default=500.0, help="u-range in units of 1/k_max (dim=1)")
+    p.add_argument("--k-max", type=number, required=True)
+    p.add_argument("--delta-t", type=number, default=0.0)
+    p.add_argument("--points", type=count, default=4001)
+    p.add_argument("--span", type=number, default=500.0, help="u-range in units of 1/k_max (dim=1)")
     p.set_defaults(func=cmd_localized, size="--points")
 
     p = sub.add_parser("circuit", help="validate and run a netlist")
     p.add_argument("--netlist", required=True)
-    p.add_argument("--samples", type=_count, default=0)
+    p.add_argument("--samples", type=count, default=0)
     p.add_argument("--paper-convention", action="store_true")
     p.set_defaults(func=cmd_circuit, size="--samples or the netlist grid")
 
     p = sub.add_parser("fresnel", help="interface coefficients and flux budget")
-    p.add_argument("--n1", type=_parse_complex, required=True)
-    p.add_argument("--n2", type=_parse_complex, required=True)
+    p.add_argument("--n1", type=complex_number, required=True)
+    p.add_argument("--n2", type=complex_number, required=True)
     p.add_argument("--paper-convention", action="store_true")
     p.set_defaults(func=cmd_fresnel, size=None)
 
     p = sub.add_parser("momentum", help="Abraham/Minkowski momentum report")
     p.add_argument("--state", required=True)
-    p.add_argument("--chi", type=_parse_complex, required=True)
+    p.add_argument("--chi", type=complex_number, required=True)
     p.set_defaults(func=cmd_momentum, size="--grid or the state's grid")
 
     return parser

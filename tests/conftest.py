@@ -73,6 +73,20 @@ def forks(monkeypatch):
     return pids
 
 
+def fail_fork(monkeypatch, call):
+    """Make the ``call``-th ``os.fork`` from now on raise as a process limit does (EAGAIN); the others fork."""
+    real_fork = os.fork
+    calls = []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == call:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
 def fail_forked_csv_rows(monkeypatch):
     """Make every forked CSV row worker raise; this process still formats its own rows."""
     parent = os.getpid()

@@ -136,9 +136,20 @@ def _wired(elements, detectors, vacuum=()):
         # a detector listed twice feeds no element
         (lambda: _wired((Element("p", PhaseShifter(0.1), ("src",), ("d",)),), ("d", "d")),
          ["duplicate detector ports"]),
+        # a detector listed twice is checked once
+        (lambda: _wired((Element("p", PhaseShifter(0.1), ("src",), ("d",)),), ("d", "x", "x")),
+         ["detector port 'x' is never produced", "duplicate detector ports"]),
+        (lambda: _wired((Element("p", PhaseShifter(0.1), ("src",), ("d",)),), ("d", "absorbed", "absorbed")),
+         ["detector port 'absorbed' is reserved for the absorbed outcome",
+          "detector port 'absorbed' is never produced", "duplicate detector ports"]),
+        # a repeated id has no order, but its wiring has no cycle
+        (lambda: _wired((Element("p", PhaseShifter(0.1), ("src",), ("a",)),
+                         Element("p", PhaseShifter(0.2), ("a",), ("d",))), ("d",)),
+         ["duplicate element ids"]),
     ],
     ids=["produced-twice", "unsupported-producer", "source-as-vacuum", "never-consumed-sorted",
-         "duplicate-detector"],
+         "duplicate-detector", "duplicate-unproduced-detector", "duplicate-absorbed-detector",
+         "duplicate-element-id"],
 )
 def test_violations_are_listed_in_check_order(netlist, expected):
     assert validate(netlist()) == expected
@@ -246,9 +257,9 @@ def test_topological_order_matches_reference():
     for nl in (mesh, shuffled(mesh, 5), readme_mz):
         order = _topological_order(nl)
         assert order is not None
-        assert order == reference_topological_order(nl)
+        assert [el.id for el in order] == reference_topological_order(nl)
     # ties resolve by id ("bs10_0" < "bs1_1"), not by declaration order
-    assert _topological_order(mesh) != [el.id for el in mesh.elements]
+    assert [el.id for el in _topological_order(mesh)] != [el.id for el in mesh.elements]
 
 
 def test_topological_order_rejects_cycles():
@@ -525,7 +536,10 @@ def reference_run(netlist, units=NATURAL, paper_convention=False):
         for port, (arr, delay), n in zip(el.outputs, outs, numbers):
             live[port] = (arr, delay, n)
     ports = {port: live.pop(port, empty) for port in netlist.detectors}
-    return ports, rows, float(sum(absorbing))
+    absorbed = 0.0  # left to right, as builtin sum did before Python 3.12
+    for n in absorbing:
+        absorbed += n
+    return ports, rows, absorbed
 
 
 @pytest.mark.parametrize("paper_convention", [False, True])

@@ -26,7 +26,7 @@ import photonflux.density as density_mod
 import photonflux.optics as optics_mod
 from photonflux.cli import main
 
-from conftest import ALL_KINDS_NETLIST, fail_forked_csv_rows, fill_disk_while_formatting, spy_worker_writes
+from conftest import ALL_KINDS_NETLIST, fail_fork, fail_forked_csv_rows, fill_disk_while_formatting, spy_worker_writes
 
 GAUSSIAN_SPEC = {"kind": "gaussian", "k0": 600.0, "sigma": 20.0, "helicity": 1}
 
@@ -516,10 +516,11 @@ def test_non_finite_float_flag_exits_2(tmp_path, capsys, args, flag):
     "args, message",
     [
         (("--grid", "256,abc,1.0", "fresnel", "--n1", "1", "--n2", "1.5"),
-         "argument --grid: invalid _parse_grid value: '256,abc,1.0'"),
+         "argument --grid: expects N,dk,area (an integer and two finite numbers), got '256,abc,1.0'"),
         (("--grid", "100,1.0,1.0", "fresnel", "--n1", "1", "--n2", "1.5"),
          "argument --grid: sample count must be a power of two, got 100"),
-        (("fresnel", "--n1", "abc", "--n2", "1.5"), "argument --n1: invalid _parse_complex value: 'abc'"),
+        (("fresnel", "--n1", "abc", "--n2", "1.5"),
+         "argument --n1: expects 're' or 're,im' (finite numbers), got 'abc'"),
         (("fresnel", "--n1", "1,2,3", "--n2", "1.5"), "argument --n1: cannot parse complex value '1,2,3'"),
         (("--seed", "-1", "circuit", "--netlist", "mz.json", "--samples", "10"),
          "argument --seed: must be a non-negative integer, got '-1'"),
@@ -529,9 +530,17 @@ def test_non_finite_float_flag_exits_2(tmp_path, capsys, args, flag):
          "argument --samples: must be at most 2**24 = 16777216, got 4611686018427387904"),
         (("localized", "--dim", "1", "--k-max", "1", "--points", "16777217"),
          "argument --points: must be at most 2**24 = 16777216, got 16777217"),
+        (("--units", "bogus", "fresnel", "--n1", "1", "--n2", "1.5"),
+         "argument --units: expects 'natural' or 'si', got 'bogus'"),
+        (("density", "--state", "g.json", "--time", "abc"), "argument --time: expects a finite number, got 'abc'"),
+        (("--seed", "x", "circuit", "--netlist", "mz.json"),
+         "argument --seed: expects a non-negative integer, got 'x'"),
+        (("localized", "--dim", "1", "--k-max", "1", "--points", "x"),
+         "argument --points: expects an integer at most 2**24 = 16777216, got 'x'"),
     ],
     ids=["grid-not-a-number", "grid-not-power-of-two", "n1-not-a-number", "n1-three-parts", "seed-negative",
-         "grid-N-too-large", "samples-too-large", "points-too-large"],
+         "grid-N-too-large", "samples-too-large", "points-too-large", "units-unknown", "time-not-a-number",
+         "seed-not-a-number", "points-not-a-number"],
 )
 def test_malformed_number_flag_exits_2(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
@@ -856,6 +865,17 @@ def test_failed_csv_worker_exits_2_without_the_csv(tmp_path, capsys, monkeypatch
     assert list(out.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_density_exits_2_without_artifacts_when_the_fork_fails(tmp_path, capsys, monkeypatch, forks):
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
+    fail_fork(monkeypatch, 1)
+    spec = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    code, out = run(tmp_path, "--grid", "16384,1.0,1.0", "density", "--state", spec)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))}\n"
+    assert forks == []
+    assert list(out.iterdir()) == []
 
 
 def test_density_exits_2_without_artifacts_when_fields_csv_fails(tmp_path, capsys, monkeypatch, forks):

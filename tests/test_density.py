@@ -32,7 +32,13 @@ from photonflux.cli import _CSV_BLOCK_ROWS, _comment_line, write_csv_tables
 from photonflux.errors import DimensionError, DomainError, StepSizeError
 from photonflux.units import NATURAL, SI
 
-from conftest import fail_forked_csv_rows, fill_disk_while_formatting, random_band_state, spy_worker_writes
+from conftest import (
+    fail_fork,
+    fail_forked_csv_rows,
+    fill_disk_while_formatting,
+    random_band_state,
+    spy_worker_writes,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -658,6 +664,25 @@ def test_worker_write_on_a_full_disk_removes_every_file_of_the_run(tmp_path, mon
     assert len(forks) == 3
     # the first worker's write failed, and no later worker got its go byte
     assert len(log.read_text().splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_leaves_no_file_child_or_descriptor(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    log = tmp_path.parent / f"{tmp_path.name}-worker-writes"
+    spy_worker_writes(monkeypatch, log)
+    fail_fork(monkeypatch, 2)
+    tables = _shared_run(tmp_path, 50001)
+    descriptors = sorted(os.listdir("/dev/fd"))
+    with pytest.raises(BlockingIOError) as exc:
+        write_csv_tables(tables)
+    assert str(exc.value) == str(OSError(errno.EAGAIN, os.strerror(errno.EAGAIN)))
+    assert sorted(os.listdir("/dev/fd")) == descriptors
+    # the first worker read EOF on its go pipe and exited without writing
+    assert len(forks) == 1
+    assert not log.exists()
     assert sorted(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import platform
 import subprocess
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import photonflux
+import photonflux.circuit as circuit_mod
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(photonflux.__file__).resolve().parent.parent
@@ -124,6 +126,34 @@ def test_workload_artifacts_match_the_recorded_digests(monkeypatch, capsys):
     # another numpy or CPU may round differently, so only repeatability can be checked here
     warnings.warn(f"no digests recorded for numpy build {_numpy_build()}: checked that two runs agree instead")
     assert _workload_digests(monkeypatch, capsys) == digests
+
+
+def _neumaier_sum(values, start=0):
+    """Builtin ``sum`` over floats as Python >= 3.12 computes it: Neumaier's compensated sum."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_circuit_artifacts_do_not_depend_on_the_python_sum(monkeypatch, capsys):
+    # Python 3.10 and 3.11 sum floats left to right; a mesh op's detector total and absorbed figure
+    # differ in their last bits under a compensated sum
+    script = _digest_script(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["artifact_digest.py", "--workload", "circuit_mesh", "--seed", "1", "--ops", "1"])
+
+    def digest():
+        assert script.main() == 0
+        return capsys.readouterr().out
+
+    plain = digest()
+    monkeypatch.setattr(circuit_mod, "sum", _neumaier_sum, raising=False)
+    assert digest() == plain
 
 
 def _gaussian_amplitude(n: int, dk: float, area: float, k0: float, sigma: float) -> dict:
