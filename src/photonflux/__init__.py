@@ -21,7 +21,7 @@ _EXPORTS = {
     "optics": """BeamSplitter DielectricInterface Medium MediumSegment Mirror MomentumReport PhaseShifter
         fresnel_interface interface_budget mirror_momentum_kick momentum_report propagate_in_medium
         refractive_index""",
-    "circuit": """Element Ledger Netlist PulseState coincidence_probability load_netlist mach_zehnder_netlist
+    "circuit": """Element Netlist PulseState coincidence_probability load_netlist mach_zehnder_netlist
         netlist_from_json outcome_probabilities run_circuit sample_outcomes validate""",
 }
 _MODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -132,11 +132,6 @@ class LedgerRow:
     absorbed: float
 
 
-@dataclass(frozen=True)
-class Ledger:
-    rows: tuple
-
-
 def validate(netlist: Netlist) -> list:
     """Wiring violations as a fresh list; an empty list means the netlist is runnable.
 
@@ -260,7 +255,7 @@ def _topological_order(netlist: Netlist):
 def run_circuit(
     netlist: Netlist, units: UnitsConfig = NATURAL, paper_convention: bool = False
 ) -> tuple:
-    """Propagate the source pulse to every detector port.
+    """Propagate the source pulse to every detector port: the ``PulseState``, and one ``LedgerRow`` per element.
 
     Elements are applied in topological order, each by contracting its
     ``transfer`` with its input spectra (per bin for a medium segment, which
@@ -340,7 +335,7 @@ def run_circuit(
     # interface row exposes its conservation defect there instead of having
     # it silently balanced into "absorbed".
     pulse = PulseState(ports=ports, absorbed=absorbed)
-    return pulse, Ledger(rows=tuple(rows))
+    return pulse, tuple(rows)
 
 
 def _contract(row, arrays):

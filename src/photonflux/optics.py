@@ -153,9 +153,10 @@ def momentum_report(state: SpectralAmplitude, chi: complex, units: UnitsConfig =
 
     The Minkowski relation p_M = (1 + chi) p_A holds for lossless (real) chi
     only; for complex chi the report carries p_A alone with p_M flagged
-    undefined.
+    undefined.  ``chi`` is read as a :class:`Medium`'s, so a chi that a
+    medium rejects (amplifying, or on the branch cut) is rejected here too.
     """
-    chi = complex(chi)
+    chi = Medium(chi).chi
     k = state.grid.k
     p_a = float(units.hbar * np.sum(k * np.abs(state.c) ** 2) * state.grid.dk / TWO_PI)
     if chi.imag != 0.0:

@@ -264,8 +264,7 @@ def make_gaussian_state(
             "gaussian spectrum leaks beyond the grid edges; "
             "choose k0/sigma further from the boundaries"
         )
-    state = SpectralAmplitude(grid=grid, helicity=helicity, c=c)
-    return SpectralAmplitude(grid=grid, helicity=helicity, c=c / np.sqrt(photon_number(state)))
+    return SpectralAmplitude(grid=grid, helicity=helicity, c=c / np.sqrt(photon_number_of(c, grid.dk)))
 
 
 def single_mode_state(grid: KGrid1D, bin_index: int, helicity: int = +1) -> SpectralAmplitude:
@@ -332,16 +331,6 @@ def evolve_free(state: SpectralAmplitude, dt: float, units: UnitsConfig = NATURA
     return SpectralAmplitude(grid=state.grid, helicity=state.helicity, c=state.c * phase)
 
 
-def _mode_weights(grid: KGrid1D, units: UnitsConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    omega = units.c * grid.k
-    weights = grid.dk / (TWO_PI * np.sqrt(omega * grid.area))
-    # sqrt(hbar/eps0) rather than sqrt(hbar/2 eps0): the extra sqrt(2) makes
-    # the (i eps0 / 2 hbar) number-density bilinear integrate to exactly one
-    # photon for a unit-number state.
-    pref = np.sqrt(units.hbar / units.eps0)
-    return omega, weights, pref
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array``, made read-only: a cached array is shared by every call that reads it."""
     array.flags.writeable = False
@@ -351,7 +340,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _mode_factors(grid: KGrid1D, units: UnitsConfig) -> tuple:
     """omega, then the rolled weights, i omega and i k and the scale of :func:`synthesize_fields`."""
-    omega, weights, pref = _mode_weights(grid, units)
+    omega = units.c * grid.k
+    weights = grid.dk / (TWO_PI * np.sqrt(omega * grid.area))
+    # sqrt(hbar/eps0) rather than sqrt(hbar/2 eps0): the extra sqrt(2) makes
+    # the (i eps0 / 2 hbar) number-density bilinear integrate to exactly one
+    # photon for a unit-number state.
+    pref = np.sqrt(units.hbar / units.eps0)
     arrays = (omega, np.roll(weights, 1), 1j * np.roll(omega, 1), 1j * np.roll(grid.k, 1))
     return (*map(_read_only, arrays), 1j * pref * grid.n)
 
@@ -399,11 +393,11 @@ def synthesize_fields(state: SpectralAmplitude, t: float, units: UnitsConfig = N
 
 
 def extract_spectrum(fields: FieldSet, units: UnitsConfig = NATURAL) -> SpectralAmplitude:
-    """Recover the spectral amplitude from a synthesized A+ array (round trip)."""
+    """Recover the spectral amplitude from a synthesized A+ array by the cached factors of :func:`synthesize_fields`."""
     grid = fields.grid
-    omega, weights, pref = _mode_weights(grid, units)
-    spectrum = np.roll(np.fft.fft(fields.a_plus) / (1j * pref * grid.n), -1)
-    c = spectrum / (weights * np.exp(-1j * omega * fields.t))
+    omega, weights, _, _, scale = _mode_factors(grid, units)
+    spectrum = np.roll(np.fft.fft(fields.a_plus) / scale, -1)
+    c = spectrum / (np.roll(weights, -1) * np.exp(-1j * omega * fields.t))
     return SpectralAmplitude(grid=grid, helicity=fields.helicity, c=c)
 
 

@@ -32,7 +32,7 @@ from photonflux import (
     validate,
 )
 import photonflux.circuit as circuit_mod
-from photonflux.circuit import PortRecord, PulseState, _topological_order
+from photonflux.circuit import LedgerRow, PortRecord, PulseState, _topological_order
 from photonflux.errors import InvariantError, NetlistError, PortError
 from photonflux.optics import DielectricInterface, fresnel_interface
 from photonflux.spectral import state_from_spec
@@ -160,7 +160,7 @@ def test_medium_segment_fed_only_by_vacuum_carries_nothing():
     med = Element("med", MediumSegment(Medium(1.25 + 0.01j), 2.0), ("vac",), ("m",))
     ps = Element("ps", PhaseShifter(0.1), ("src",), ("o",))
     pulse, ledger = run_circuit(_wired((med, ps), ("o", "m"), ("vac",)))
-    row = next(row for row in ledger.rows if row.element_id == "med")
+    row = next(row for row in ledger if row.element_id == "med")
     assert (row.number_in, row.number_out, row.absorbed) == (0.0, 0.0, 0.0)
     port = pulse.ports["m"]
     assert (port.probability, port.delay, port.spectral) == (0.0, 0.0, None)
@@ -286,7 +286,7 @@ def test_shuffled_long_chain_runs_in_chain_order():
     )
     assert validate(nl) == []
     pulse, ledger = run_circuit(nl)
-    assert [row.element_id for row in ledger.rows] == [el.id for el in chain]
+    assert [row.element_id for row in ledger] == [el.id for el in chain]
     assert pulse.probability(ports[-1]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -384,7 +384,7 @@ def test_lossy_bin_attenuation_in_ledger():
     omega = NATURAL.c * grid.k[99]
     expected = np.exp(-2.0 * omega * refractive_index(chi).imag * length / NATURAL.c)
     assert pulse.probability("out") == pytest.approx(expected, rel=1e-12)
-    row = ledger.rows[0]
+    row = ledger[0]
     assert row.number_in == pytest.approx(1.0, abs=1e-12)
     assert row.number_out == pytest.approx(expected, rel=1e-12)
     assert row.absorbed == pytest.approx(1.0 - expected, rel=1e-9)
@@ -474,7 +474,7 @@ def test_random_netlists_conserve_probability():
         total = pulse.total_probability() + pulse.absorbed
         assert total == pytest.approx(1.0, abs=1e-9)
         # ledger telescopes to the global absorbed figure
-        assert sum(row.absorbed for row in ledger.rows) == pytest.approx(pulse.absorbed, abs=1e-10)
+        assert sum(row.absorbed for row in ledger) == pytest.approx(pulse.absorbed, abs=1e-10)
 
 
 def reference_run(netlist, units=NATURAL, paper_convention=False):
@@ -552,7 +552,7 @@ def test_run_circuit_matches_isinstance_reference_bitwise(paper_convention):
     for nl in netlists:
         pulse, ledger = run_circuit(nl, paper_convention=paper_convention)
         ports, rows, absorbed = reference_run(nl, paper_convention=paper_convention)
-        assert [(r.element_id, r.number_in, r.number_out, r.absorbed) for r in ledger.rows] == rows
+        assert [(r.element_id, r.number_in, r.number_out, r.absorbed) for r in ledger] == rows
         assert pulse.absorbed == absorbed
         for port, (arr, delay, n) in ports.items():
             rec = pulse.ports[port]
@@ -592,7 +592,7 @@ def test_vacuum_only_elements_do_no_array_work(monkeypatch):
     assert len(mesh.elements) - len(reached) == 450
     # one contraction per output of every reached element, none for the rest
     assert len(contracted) == sum(len(el.outputs) for el in reached.values())
-    for row in ledger.rows:
+    for row in ledger:
         if row.element_id in reached:
             assert row.number_in > 0.0
         else:
@@ -612,10 +612,11 @@ def test_run_is_deterministic():
 
 
 def test_ledger_rows_are_frozen():
-    """A returned ledger cannot be edited after the run, and it hashes."""
+    """A returned ledger is a tuple of LedgerRows, one per element: it cannot be edited after the run, and it hashes."""
     _, ledger = run_circuit(mach_zehnder_netlist(source(), 0.3))
+    assert type(ledger) is tuple and [type(row) for row in ledger] == [LedgerRow] * 3
     with pytest.raises(FrozenInstanceError):
-        ledger.rows[0].absorbed = 0.5
+        ledger[0].absorbed = 0.5
     assert hash(ledger) == hash(run_circuit(mach_zehnder_netlist(source(), 0.3))[1])
 
 
@@ -625,7 +626,7 @@ def test_ledger_rows_are_frozen():
 def test_every_ledger_number_is_a_float(netlist, paper_convention):
     """The ledger template formats numbers with ``float.__repr__``, so no row may hold an int."""
     _, ledger = run_circuit(netlist, paper_convention=paper_convention)
-    numbers = [getattr(row, field) for row in ledger.rows for field in ("number_in", "number_out", "absorbed")]
+    numbers = [getattr(row, field) for row in ledger for field in ("number_in", "number_out", "absorbed")]
     assert numbers and all(isinstance(x, float) for x in numbers)
 
 
@@ -879,3 +880,34 @@ def test_state_spec_kinds():
     np.testing.assert_array_equal(amp.c, source(grid).c)
     with pytest.raises(NetlistError):
         state_from_spec({"kind": "thermal"}, grid)
+
+
+# ---- error branches ---------------------------------------------------------------
+
+def _no_grid():
+    obj = mz_json()
+    del obj["grid"]
+    return netlist_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: PulseState(ports={}, absorbed=0.0).probability("d"), PortError, "unknown port 'd'"),
+        (lambda: sample_outcomes(PulseState(ports={}, absorbed=0.0), 0, 1), PortError,
+         "no outcome carries positive probability"),
+        (_no_grid, NetlistError, "no grid and no default"),
+    ],
+    ids=["probability-unknown-port", "samples-no-positive-outcome", "netlist-no-grid"],
+)
+def test_error_branches(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_repeated_id_has_no_order():
+    ps = PhaseShifter(0.1)
+    nl = Netlist(elements=(Element("p", ps, ("src",), ("a",)), Element("p", ps, ("a",), ("b",))),
+                 source_port="src", source_state=source(), detectors=("b",))
+    assert nl.order is None
+    assert validate(nl) == ["duplicate element ids"]

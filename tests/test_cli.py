@@ -333,10 +333,10 @@ def test_circuit_lossy_line_ledger(tmp_path):
 
 
 def test_circuit_conservation_breach_exits_3(tmp_path, monkeypatch):
-    from photonflux.circuit import Ledger, PulseState
+    from photonflux.circuit import PulseState
 
     def broken_run(netlist, units=None, paper_convention=False):
-        return PulseState(ports={}, absorbed=0.5), Ledger(rows=())
+        return PulseState(ports={}, absorbed=0.5), ()
 
     monkeypatch.setattr(circuit_mod, "run_circuit", broken_run)
     netlist = write_json(tmp_path / "mz.json", mz_netlist(0.0))
@@ -355,6 +355,23 @@ def test_fresnel_default_and_paper(tmp_path):
     assert code == 0
     result = json.loads((out / "fresnel.json").read_text())
     assert result["conservation_defect"] == pytest.approx(6.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "chi, line",
+    [
+        ("-2", "1 + chi lies on the principal branch cut"),
+        ("-1", "1 + chi lies on the principal branch cut"),
+        ("1.25,-0.1", "Im chi < 0: medium would amplify"),
+    ],
+    ids=["branch-cut", "zero-index", "gain"],
+)
+def test_momentum_chi_a_medium_rejects_exits_2(tmp_path, capsys, chi, line):
+    state = write_json(tmp_path / "state.json", GAUSSIAN_SPEC)
+    code, out = run(tmp_path, "momentum", "--state", state, "--chi", chi)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
 
 
 def test_momentum_single_bin(tmp_path):
@@ -464,7 +481,7 @@ EXPORTED = """
     optics.BeamSplitter optics.DielectricInterface optics.Medium optics.MediumSegment optics.Mirror
     optics.MomentumReport optics.PhaseShifter optics.fresnel_interface optics.interface_budget
     optics.mirror_momentum_kick optics.momentum_report optics.propagate_in_medium optics.refractive_index
-    circuit.Element circuit.Ledger circuit.Netlist circuit.PulseState circuit.coincidence_probability
+    circuit.Element circuit.Netlist circuit.PulseState circuit.coincidence_probability
     circuit.load_netlist circuit.mach_zehnder_netlist circuit.netlist_from_json circuit.outcome_probabilities
     circuit.run_circuit circuit.sample_outcomes circuit.validate
 """.split()
@@ -486,7 +503,13 @@ def test_every_exported_name_imports_from_its_module():
     env = {**os.environ, "PYTHONPATH": str(Path(photonflux.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["66"]
+    assert proc.stdout.split() == ["65"]
+
+
+def test_dir_lists_every_exported_name_once_sorted():
+    names = dir(photonflux)
+    assert {entry.split(".")[1] for entry in EXPORTED} <= set(names)
+    assert names == sorted(set(names))
 
 
 @pytest.mark.parametrize(

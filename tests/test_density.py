@@ -762,3 +762,30 @@ def test_fork_warning_raised_as_error_leaves_no_child_behind(tmp_path, monkeypat
     assert path.read_bytes() == _csv_text("h\n", columns).encode()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# ---- error branches -----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: localized_density_1d(0.0, 0.0), DomainError, "k_max must be positive"),
+        # modes sit at multiples of 2 pi / box_length = 2 pi, all above k_max = 1
+        (lambda: localized_density_1d_boxsum(0.0, 1.0, 1.0), DomainError, "box too short"),
+        (lambda: localized_density_3d_profile(np.array([1.0, 0.0]), 0.5, 1.0), DomainError,
+         "all radii must be positive"),
+    ],
+    ids=["1d-k-max-zero", "boxsum-box-too-short", "3d-profile-zero-radius"],
+)
+def test_error_branches(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_boxsum_on_an_array_and_shell_fraction_of_zero_mass():
+    u = np.array([0.0, 0.5])
+    boxsum = localized_density_1d_boxsum(u, 100.0, 2.0)
+    assert boxsum.shape == (2,)
+    assert boxsum[0] == localized_density_1d_boxsum(0.0, 100.0, 2.0)
+    radii = np.linspace(0.1, 1.0, 10)
+    assert shell_mass_fraction(radii, np.zeros(10), 0.5, 0.1) == 0.0

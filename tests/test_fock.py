@@ -309,3 +309,24 @@ def test_mode_phase_matches_number_eigenvalue():
     out = apply_mode_phase(two, MODE_A, 0.7)
     (occ, amp), = out.amplitudes.items()
     assert amp == pytest.approx(np.exp(1j * 1.4), abs=1e-14)
+
+
+# ---- error branches ---------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: ModeIndex(helicity=+1, mode_id=-1), InvalidModeError, "mode_id must be non-negative"),
+        (lambda: FockState(1, 2, {(0,): 1.0}), DimensionError, "wrong length"),
+        (lambda: FockState(1, 2, {(3, 0): 1.0}), TruncationError, "violates 0..2"),
+        (lambda: total_number_expectation(FockState(1, 2, {(0, 0): 2.0})), NormalizationError, "not normalized"),
+        (lambda: two_mode_mix(vacuum(2, 2), MODE_A, MODE_A, MixMatrix2(1.0, 0.0)), InvalidModeError,
+         "two distinct modes"),
+        (lambda: commutator_residual(1), TruncationError, "n_max >= 2"),
+    ],
+    ids=["negative-mode-id", "occupation-wrong-length", "occupation-above-cutoff", "total-number-unnormalized",
+         "mix-one-mode", "commutator-cutoff-too-low"],
+)
+def test_error_branches(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from photonflux import (
     BeamSplitter,
+    DielectricInterface,
     Medium,
     MediumSegment,
     Mirror,
@@ -229,6 +230,23 @@ def test_momentum_complex_chi_flagged(grid):
     assert report.p_abraham > 0.0
 
 
+@pytest.mark.parametrize(
+    "chi, error, match",
+    [
+        (-2.0, DomainError, "branch cut"),
+        (-1.0, DomainError, "branch cut"),
+        (1.25 - 0.1j, PassivityError, "medium would amplify"),
+    ],
+    ids=["branch-cut", "zero-index", "gain"],
+)
+def test_momentum_report_rejects_a_chi_a_medium_rejects(grid, chi, error, match):
+    g = make_gaussian_state(200.0, 8.0, grid)
+    with pytest.raises(error, match=match):
+        Medium(chi)
+    with pytest.raises(error, match=match):
+        momentum_report(g, chi)
+
+
 # ---- element specs ----------------------------------------------------------------------
 
 def test_beam_splitter_validation():
@@ -291,3 +309,22 @@ def test_splitter_transfer_is_its_scattering_matrix_bit_for_bit(t, r):
     expected = BeamSplitter(t=t, r=r).scattering.tolist()
     assert [[type(f) for f in row] for row in transfer] == [[complex, complex]] * 2
     assert [[repr(f) for f in row] for row in transfer] == [[repr(f) for f in row] for row in expected]
+
+
+# ---- error branches ---------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: DielectricInterface(0.0, 1.5), DomainError, "finite and nonzero"),
+        (lambda: DielectricInterface(1.0, complex(np.inf, 0.0)), DomainError, "finite and nonzero"),
+        (lambda: DielectricInterface(1.0, complex(1.5, np.nan)), DomainError, "finite and nonzero"),
+        # n1 + n2 = 5e-324j is not zero, but n2 / n1 rounds to exactly -1
+        (lambda: fresnel_interface(2.0, complex(-2.0, 5e-324), paper_convention=True), DomainError,
+         "degenerate relative index"),
+    ],
+    ids=["interface-zero-index", "interface-infinite-index", "interface-nan-index", "paper-relative-index-minus-one"],
+)
+def test_error_branches(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

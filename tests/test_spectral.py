@@ -23,7 +23,7 @@ from photonflux import (
 from photonflux import spectral
 from photonflux.errors import DimensionError, DomainError, GridCoverageError
 from photonflux.spectral import json_complex, json_int, json_names, json_number, state_from_spec
-from photonflux.units import NATURAL, SI
+from photonflux.units import NATURAL, SI, UnitsConfig
 
 from conftest import random_band_state
 
@@ -387,3 +387,25 @@ def test_support_check_flags_wraparound(grid):
         assert_support_clear(shifted)
     assert_support_clear(rho)
     assert_support_clear(np.zeros(16))
+
+
+# ---- error branches -----------------------------------------------------------------
+
+SMALL = KGrid1D(n=4, dk=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: SpectralAmplitude(SMALL, 0, np.zeros(4)), DomainError, "helicity must be"),
+        (lambda: spectral.json_list({"a": 1}), TypeError, "expected a list"),
+        (lambda: single_mode_state(SMALL, 4), DomainError, "bin_index 4 outside 0..3"),
+        (lambda: localized_state(SMALL, -1), DomainError, "node -1 outside 0..3"),
+        (lambda: UnitsConfig(mode="natural", c=1.0, hbar=0.0, eps0=1.0), ValueError, "strictly positive"),
+    ],
+    ids=["helicity-zero", "json-list-object", "single-mode-bin-out-of-range", "localized-node-out-of-range",
+         "units-non-positive-constant"],
+)
+def test_error_branches(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
